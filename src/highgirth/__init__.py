@@ -44,6 +44,8 @@ from .model import (
     EventSpec,
     EventSystem,
     ModelParams,
+    build_event_system,
+    cycle_blocks,
     dependency_graph,
     derive_seed,
     enumerate_cycle_events,
@@ -94,7 +96,8 @@ __all__ = [
     "family_girth_reduction", "girth", "independence_number",
     "min_edges_over_subsets",
     # model
-    "EventSpec", "EventSystem", "ModelParams", "dependency_graph",
+    "EventSpec", "EventSystem", "ModelParams", "build_event_system",
+    "cycle_blocks", "dependency_graph",
     "derive_seed", "enumerate_cycle_events",
     "enumerate_independent_set_events", "log_probability", "sample_subgraph",
     # lll

@@ -36,9 +36,8 @@ from .model import (
     EventSpec,
     EventSystem,
     ModelParams,
+    build_event_system,
     derive_seed,
-    enumerate_cycle_events,
-    enumerate_independent_set_events,
     sample_subgraph,
 )
 from .search import (
@@ -157,11 +156,7 @@ def cmd_events(args) -> int:
     if args.p is None and args.gamma is None:
         raise _UsageError("one of --gamma or --p is required")
     p = args.p if args.p is not None else args.gamma ** (4 * args.n)
-    events = []
-    if args.l is not None:
-        events.extend(enumerate_independent_set_events(g, args.l, p))
-    events.extend(enumerate_cycle_events(g, args.k, p))
-    system = EventSystem.from_events(events)
+    system = build_event_system(g, args.k, args.l, p).to_system()
     doc = {"n": args.n, "p": p, "l": args.l, "k": args.k, **system.to_json()}
     _emit(doc, args)
     return 0
@@ -296,6 +291,12 @@ def _search_once(job: dict):
     )
 
 
+def _worker_count(jobs: int, restarts: int) -> int:
+    """Pool size for ``search --jobs``: never more workers than restarts or
+    CPUs, since a forking pool starts all of its workers up front."""
+    return max(1, min(jobs, restarts, os.cpu_count() or 1))
+
+
 def cmd_search(args) -> int:
     if args.method == "mt" and args.l is None:
         raise _UsageError("--l is required for the mt method")
@@ -313,12 +314,13 @@ def cmd_search(args) -> int:
             "allow_large": args.allow_large,
             "node_limit": args.node_limit, "time_limit": args.time_limit,
         })
-    if args.jobs > 1 and len(jobs) > 1:
+    workers = _worker_count(args.jobs, len(jobs))
+    if workers > 1:
         # run every restart, then keep the first certificate in seed order:
         # the winner is independent of scheduling
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_search_once, jobs))
         outcome = next(
             (o for o in outcomes if isinstance(o, GirthCertificate)), outcomes[-1]

@@ -12,6 +12,14 @@ power underflows).  Two bad-event families live on this space:
 Both families are functions of disjoint-or-overlapping edge indicator
 sets, so two events are dependent exactly when their edge sets intersect.
 
+Storage: cycle events live in ``CycleBlock`` arrays, one int32 block per
+length s holding the canonical vertex tuples and the ascending edge ids,
+built by the vectorised enumerator ``cycle_blocks``.  ``EventBlocks``
+puts the few l-subset events (as ``EventSpec`` objects) in front of those
+blocks and tests every event against a boolean kept-edge array at once;
+``EventSpec`` lists are only materialised for JSON, the dependency
+structure and the LLL checks (``EventBlocks.to_system``).
+
 PRNG contract: sampling uses NumPy's PCG64 stream seeded with the model
 seed, drawing one uniform per base edge in canonical edge-list order;
 edge ``i`` is kept iff draw ``i`` is below ``p``.  Parallel replicas must
@@ -22,19 +30,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
 from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
-from .solvers import cycle_edges, enumerate_cycles
 
 KIND_INDEPENDENT_SET = "independent_set"
 KIND_CYCLE = "cycle"
 
-#: Independent-set event enumeration refuses above this many subsets.
+#: Event enumeration refuses above this many subsets, or this many cycles.
 EVENT_ENUMERATION_GUARD = 500_000
+
+#: Candidate extensions examined per vectorised step of ``cycle_blocks``;
+#: bounds its temporary arrays independently of the graph's degree.
+_STEP_CANDIDATES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -93,14 +105,14 @@ def sample_subgraph(g: BaseGraph, params: ModelParams) -> EdgeSubset:
     """Draw a random spanning subgraph; identical inputs give identical masks."""
     if params.n != g.n:
         raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
-    draws = _stream(params.seed).random(g.num_edges)
-    return _mask_from_draws(g, draws, params.p)
+    kept = _stream(params.seed).random(g.num_edges) < params.p
+    return EdgeSubset(g, _pack_mask(kept))
 
 
-def _mask_from_draws(g: BaseGraph, draws: np.ndarray, p: float) -> EdgeSubset:
-    kept = draws < p
+def _pack_mask(kept: np.ndarray) -> int:
+    """Edge mask (bit i = edge i) of a boolean kept-edge array."""
     packed = np.packbits(kept, bitorder="little")
-    return EdgeSubset(g, int.from_bytes(packed.tobytes(), "little"))
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def log_probability(g: BaseGraph, sub: EdgeSubset, p: float) -> float:
@@ -196,26 +208,134 @@ def enumerate_independent_set_events(
     return events
 
 
-def enumerate_cycle_events(g: BaseGraph, k: int, p: float) -> list[EventSpec]:
-    """One event per distinct cycle of length 3..k, in canonical order."""
-    if k < 3:
-        return []
-    events = []
+@dataclass(frozen=True)
+class CycleBlock:
+    """Every s-cycle of a graph as int32 rows, in ``enumerate_cycles`` order.
+
+    ``members[i]`` is the i-th canonical vertex tuple; ``edge_ids[i]`` the
+    base edge indices of that cycle, ascending.
+    """
+
+    s: int
+    members: np.ndarray
+    edge_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+
+def cycle_blocks(
+    g: Graph, k: int, guard: int = EVENT_ENUMERATION_GUARD
+) -> list[CycleBlock]:
+    """One block per cycle length 3..k, rows in canonical lexicographic order.
+
+    Paths grow root by root over a dense edge-id matrix; each path expands
+    into its candidates in ascending order and its children stay
+    contiguous, which reproduces ``enumerate_cycles`` row for row.  Cycles
+    are counted as each root finishes, and ``SizeGuardError`` is raised
+    before the running total (over all lengths) or the open paths of one
+    root pass ``guard``.
+    """
+    nv = g.num_vertices
+    eid = np.full((nv, nv), -1, dtype=np.int32)
+    if g.num_edges:
+        u, v = np.array(g.edge_list, dtype=np.int32).T
+        ids = np.arange(g.num_edges, dtype=np.int32)
+        eid[u, v] = ids
+        eid[v, u] = ids
+    adjacent = eid >= 0
+    indptr = np.concatenate(([0], np.cumsum(adjacent.sum(axis=1))))
+    nbrs = np.nonzero(adjacent)[1].astype(np.int32)  # row-major: ascending
+    max_degree = int(np.diff(indptr).max(initial=0))
+    step = max(1, _STEP_CANDIDATES // max(1, max_degree))  # paths per step
+    total = 0
+    blocks = []
     for s in range(3, k + 1):
-        for cycle in enumerate_cycles(g, s):
-            edge_ids = tuple(
-                sorted(g.edge_index(u, v) for u, v in cycle_edges(g, cycle))
-            )
-            events.append(
-                EventSpec(
-                    kind=KIND_CYCLE,
-                    variable_set=edge_ids,
-                    meta=s,
-                    probability=p**s,
-                    members=cycle,
+        found = []
+        for root in range(nv):
+            first = nbrs[indptr[root]:indptr[root + 1]]
+            first = first[first > root]
+            paths = np.column_stack((np.full(len(first), root, np.int32), first))
+            for _ in range(s - 3):
+                paths = _grow(paths, eid, indptr, nbrs, step, guard, close=False)
+                if paths is None:
+                    raise SizeGuardError(
+                        f"open paths from vertex {root} towards {s}-cycles "
+                        f"exceed the enumeration guard {guard}"
+                    )
+            cycles = _grow(paths, eid, indptr, nbrs, step, guard - total, close=True)
+            if cycles is None:
+                raise SizeGuardError(
+                    f"cycles of length 3..{k} exceed the enumeration guard {guard}"
                 )
+            total += len(cycles)
+            found.append(cycles)
+        members = np.concatenate(found) if found else np.empty((0, s), np.int32)
+        edge_ids = eid[members, np.roll(members, -1, axis=1)]
+        edge_ids.sort(axis=1)
+        blocks.append(CycleBlock(s, members, edge_ids))
+    return blocks
+
+
+def _grow(paths, eid, indptr, nbrs, step, limit, close):
+    """Extend simple paths from one root by one vertex, in lexicographic order.
+
+    A path (root, v1, .., vm) takes every neighbour w of vm above the root
+    and off the path.  With ``close`` set, w must also be adjacent to the
+    root and above v1 (the reflection bound), so each row is a cycle.
+    Returns None, before allocating them, once more than ``limit`` rows
+    would come out.
+    """
+    m = paths.shape[1]
+    out = []
+    rows_out = 0
+    for lo in range(0, len(paths), step):
+        chunk = paths[lo:lo + step]
+        last = chunk[:, -1]
+        counts = indptr[last + 1] - indptr[last]
+        rows = np.repeat(np.arange(len(chunk)), counts)
+        offsets = np.repeat(indptr[last] - np.cumsum(counts) + counts, counts)
+        w = nbrs[offsets + np.arange(len(rows))]
+        prefix = chunk[rows]
+        if close:
+            keep = (w > prefix[:, 1]) & (eid[w, prefix[:, 0]] >= 0)
+            interior = range(2, m - 1)
+        else:
+            keep = w > prefix[:, 0]
+            interior = range(1, m - 1)
+        for j in interior:  # w is never the last vertex: no self-loops
+            keep &= w != prefix[:, j]
+        rows_out += int(np.count_nonzero(keep))
+        if rows_out > limit:
+            return None
+        out.append(np.column_stack((prefix[keep], w[keep])))
+    return np.concatenate(out) if out else np.empty((0, m + 1), np.int32)
+
+
+def _cycle_specs(blocks: list[CycleBlock], p: float) -> list[EventSpec]:
+    events = []
+    for block in blocks:
+        probability = p**block.s
+        events.extend(
+            EventSpec(
+                kind=KIND_CYCLE,
+                variable_set=tuple(edge_ids),
+                meta=block.s,
+                probability=probability,
+                members=tuple(members),
             )
+            for members, edge_ids in zip(
+                block.members.tolist(), block.edge_ids.tolist()
+            )
+        )
     return events
+
+
+def enumerate_cycle_events(
+    g: BaseGraph, k: int, p: float, guard: int = EVENT_ENUMERATION_GUARD
+) -> list[EventSpec]:
+    """One event per distinct cycle of length 3..k, in canonical order."""
+    return _cycle_specs(cycle_blocks(g, k, guard), p)
 
 
 @dataclass
@@ -287,6 +407,94 @@ class EventSystem:
             "events": [ev.to_json() for ev in self.events],
             "unavoidable": [ev.to_json() for ev in self.unavoidable],
         }
+
+
+@dataclass
+class EventBlocks:
+    """An event system in array form, indexed like ``to_system().events``.
+
+    ``subsets`` holds every l-subset event in combinations order,
+    unavoidable ones included; the avoidable ones come first in the event
+    order, then ``cycles`` block by block.  ``occurring`` evaluates every
+    event on a boolean kept-edge array without building cycle
+    ``EventSpec`` objects.
+    """
+
+    p: float
+    subsets: list[EventSpec]
+    cycles: list[CycleBlock]
+
+    def __post_init__(self):
+        self.unavoidable = [ev for ev in self.subsets if ev.unavoidable]
+        avoidable = len(self.subsets) - len(self.unavoidable)
+        self._offsets = np.cumsum([avoidable] + [len(b) for b in self.cycles])
+
+    def __len__(self) -> int:
+        return int(self._offsets[-1])
+
+    @property
+    def feasible(self) -> bool:
+        return not self.unavoidable
+
+    @cached_property
+    def _subset_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Avoidable subset events' edge ids end to end, and where each starts."""
+        avoidable = [ev for ev in self.subsets if not ev.unavoidable]
+        sizes = [len(ev.variable_set) for ev in avoidable]
+        ids = np.fromiter(
+            (e for ev in avoidable for e in ev.variable_set),
+            dtype=np.int64, count=sum(sizes),
+        )
+        return ids, np.cumsum([0] + sizes)
+
+    def occurring(self, kept: np.ndarray) -> np.ndarray:
+        """Boolean occurrence of every event, for kept-edge flags ``kept``.
+
+        A subset event occurs when none of its edges is kept, a cycle event
+        when all of them are.
+        """
+        parts = [kept[b.edge_ids].all(axis=1) for b in self.cycles]
+        ids, starts = self._subset_rows
+        if len(ids):
+            parts.insert(0, ~np.logical_or.reduceat(kept[ids], starts[:-1]))
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+
+    def variable_set(self, i: int) -> np.ndarray:
+        """Ascending edge ids of event ``i``."""
+        block = int(np.searchsorted(self._offsets, i, side="right"))
+        if block == 0:
+            ids, starts = self._subset_rows
+            return ids[starts[i]:starts[i + 1]]
+        return self.cycles[block - 1].edge_ids[i - self._offsets[block - 1]]
+
+    def to_system(self) -> EventSystem:
+        return EventSystem.from_events(
+            self.subsets + _cycle_specs(self.cycles, self.p)
+        )
+
+
+def build_event_system(
+    g: BaseGraph,
+    k: int,
+    l: int | None,
+    p: float,
+    subset_events: bool | str = True,
+    guard: int = EVENT_ENUMERATION_GUARD,
+) -> EventBlocks:
+    """Cycle events for lengths 3..k plus, when asked for, l-subset events.
+
+    ``subset_events=True`` makes the subset events mandatory: an l outside
+    [1, N] raises ``ValueError`` and more than ``guard`` subsets raise
+    ``SizeGuardError``.  ``"auto"`` adds them only when l <= N and the
+    C(N, l) subsets fit the guard; ``False`` or ``l=None`` never does.
+    Cycles past the guard raise ``SizeGuardError`` in every mode.
+    """
+    subsets: list[EventSpec] = []
+    if l is not None and subset_events:
+        nv = g.num_vertices
+        if subset_events is True or (l <= nv and comb(nv, l) <= guard):
+            subsets = enumerate_independent_set_events(g, l, p, guard=guard)
+    return EventBlocks(p, subsets, cycle_blocks(g, k, guard))
 
 
 def dependency_graph(events: list[EventSpec]) -> EventSystem:

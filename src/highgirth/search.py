@@ -5,9 +5,12 @@ Two strategies produce certified subgraphs of a base graph:
 * Moser-Tardos resampling: draw every edge Bernoulli(p), then repeatedly
   pick the violated event with the lowest canonical index and redraw its
   edge set, until no bad event holds or the resample budget runs out.
+  The subgraph is a boolean array over the base edges and the events are
+  the model's array blocks (``model.EventBlocks``), so each round is one
+  vectorised rescan of every event rather than a loop over event objects.
 * deletion method: draw once, then repeatedly find the canonically first
-  shortest cycle of length <= k and delete its smallest edge; termination
-  and the girth guarantee are unconditional.
+  shortest cycle of length <= k (``solvers.iter_cycles``) and delete its
+  smallest edge; termination and the girth guarantee are unconditional.
 
 Either way the result is only ever reported through ``certify``, which
 re-verifies girth and independence with the exact solvers and refuses to
@@ -24,19 +27,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .graphs import BaseGraph, EdgeSubset
 from .model import (
-    EventSystem,
-    ModelParams,
-    _mask_from_draws,
-    _stream,
-    enumerate_cycle_events,
-    enumerate_independent_set_events,
-    sample_subgraph,
     EVENT_ENUMERATION_GUARD,
+    ModelParams,
+    _pack_mask,
+    _stream,
+    build_event_system,
+    sample_subgraph,
 )
-from .solvers import SolveBudget, girth, independence_number
+from .solvers import SolveBudget, girth, independence_number, iter_cycles
 
 
 class CertificationError(Exception):
@@ -228,29 +231,6 @@ def recheck_certificate(cert: GirthCertificate, base: BaseGraph) -> list[str]:
     return problems
 
 
-def _build_event_system(
-    g: BaseGraph,
-    k: int,
-    l: int,
-    p: float,
-    subset_events: bool | str,
-    guard: int,
-) -> EventSystem | None:
-    """Cycle events for 3..k plus, when requested and enumerable, l-subset
-    events.  Returns None when subset events are mandatory but l-subsets
-    cannot be enumerated within the guard."""
-    events = []
-    if l <= g.num_vertices:
-        wanted = subset_events is True or subset_events == "auto"
-        enumerable = math.comb(g.num_vertices, l) <= guard
-        if subset_events is True and not enumerable:
-            return None
-        if wanted and enumerable:
-            events.extend(enumerate_independent_set_events(g, l, p, guard=guard))
-    events.extend(enumerate_cycle_events(g, k, p))
-    return EventSystem.from_events(events)
-
-
 def moser_tardos_search(
     g: BaseGraph,
     params: ModelParams,
@@ -269,16 +249,24 @@ def moser_tardos_search(
     always enumerated; subset events only when ``subset_events`` allows
     and the count C(N, l) fits the guard.  The default budget is ten
     resamples per event.  Budget exhaustion and certification rejections
-    come back as ``SearchFailure`` values, never exceptions.
+    come back as ``SearchFailure`` values, never exceptions; more than
+    ``guard`` cycles raise ``SizeGuardError``.
+
+    The subgraph is a boolean kept-edge array and every round rescans all
+    events at once with ``EventBlocks.occurring``; no cycle ``EventSpec``
+    is ever built.
     """
     p = params.p
-    system = _build_event_system(g, k, l, p, subset_events, guard)
-    if system is None:
+    nv = g.num_vertices
+    if l > nv:
+        subset_events = False
+    elif subset_events is True and math.comb(nv, l) > guard:
         return SearchFailure(
-            reason=f"subset events required but C({g.num_vertices}, {l}) "
+            reason=f"subset events required but C({nv}, {l}) "
             f"exceeds the enumeration guard {guard}",
             n=g.n, k=k, l=l, seed=params.seed,
         )
+    system = build_event_system(g, k, l, p, subset_events, guard)
     if not system.feasible:
         return SearchFailure(
             reason=f"{len(system.unavoidable)} l-subsets span no base edge "
@@ -289,31 +277,26 @@ def moser_tardos_search(
     if max_resamples is None:
         max_resamples = 10 * len(system)
     rng = _stream(params.seed)
-    draws = rng.random(g.num_edges)
-    mask = _mask_from_draws(g, draws, p).mask
+    kept = rng.random(g.num_edges) < p
     history = []
     resamples = 0
     while True:
-        violated = [i for i, ev in enumerate(system.events) if ev.occurs(mask)]
-        history.append(len(violated))
+        occurring = system.occurring(kept)
+        violated = int(np.count_nonzero(occurring))
+        history.append(violated)
         if not violated:
             break
         if resamples >= max_resamples:
             return SearchFailure(
                 reason=f"resample budget {max_resamples} exhausted with "
-                f"{len(violated)} events still violated",
+                f"{violated} events still violated",
                 n=g.n, k=k, l=l, seed=params.seed,
                 resamples=resamples, violated_history=tuple(history),
             )
-        event = system.events[violated[0]]
-        redraw = rng.random(len(event.variable_set))
-        for edge_id, value in zip(event.variable_set, redraw):
-            if value < p:
-                mask |= 1 << edge_id
-            else:
-                mask &= ~(1 << edge_id)
+        edge_ids = system.variable_set(int(occurring.argmax()))
+        kept[edge_ids] = rng.random(len(edge_ids)) < p
         resamples += 1
-    sub = EdgeSubset(g, mask)
+    sub = EdgeSubset(g, _pack_mask(kept))
     try:
         cert = certify(
             sub, k, l,
@@ -328,39 +311,6 @@ def moser_tardos_search(
             witness=exc.witness,
         )
     return cert
-
-
-def _first_cycle(adj: list[int], n: int, s: int, start_root: int):
-    """Canonically first s-cycle with root >= start_root, or None.
-
-    Matches the lexicographic order of ``enumerate_cycles`` so deletion
-    choices are reproducible.
-    """
-    for root in range(start_root, n):
-        above = -1 << (root + 1)
-        for v1_bit_path in _first_from(adj, root, [root], 1 << root, s, above):
-            return v1_bit_path
-    return None
-
-
-def _first_from(adj, root, path, used, s, above):
-    v = path[-1]
-    if len(path) == s - 1:
-        closing = adj[v] & adj[root] & above & ~used
-        if len(path) >= 2:
-            closing &= -1 << (path[1] + 1)
-        if closing:
-            low = closing & -closing
-            yield path + [low.bit_length() - 1]
-        return
-    cands = adj[v] & above & ~used
-    while cands:
-        low = cands & -cands
-        cands ^= low
-        w = low.bit_length() - 1
-        path.append(w)
-        yield from _first_from(adj, root, path, used | (1 << w), s, above)
-        path.pop()
 
 
 def deletion_method(
@@ -387,7 +337,7 @@ def deletion_method(
     for s in range(3, k + 1):
         root = 0
         while True:
-            cycle = _first_cycle(adj, g.num_vertices, s, root)
+            cycle = next(iter_cycles(adj, s, root), None)
             if cycle is None:
                 break
             root = cycle[0]  # deletions never create cycles at earlier roots

@@ -177,11 +177,21 @@ def enumerate_cycles(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
     """
     if s < 3:
         raise ValueError(f"cycle length must be >= 3, got {s}")
-    adj = g.adj
-    for root in range(g.num_vertices):
+    yield from iter_cycles(g.adj, s)
+
+
+def iter_cycles(
+    adj: list[int], s: int, start_root: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Canonical s-cycles of a bitmask adjacency list, lexicographically.
+
+    Only cycles whose smallest vertex is at least ``start_root`` come out,
+    so a caller that edits ``adj`` between cycles can resume where earlier
+    roots are known to be exhausted.
+    """
+    for root in range(start_root, len(adj)):
         above_root = -1 << (root + 1)
-        first = adj[root] & above_root
-        for v1 in iter_bits(first):
+        for v1 in iter_bits(adj[root] & above_root):
             yield from _extend_cycle(adj, root, [root, v1], (1 << root) | (1 << v1), s)
 
 

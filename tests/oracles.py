@@ -100,3 +100,17 @@ def alpha_via_complement_cliques(num_vertices, edges):
                 comp[u].add(v)
                 comp[v].add(u)
     return max_clique_enumerate(num_vertices, comp)
+
+
+def occurring_events(events, mask):
+    """Indices of the events that hold on an edge mask, one event at a time.
+
+    A cycle event holds when every edge of its variable set is present, an
+    independent-set event when none is.
+    """
+    out = []
+    for i, ev in enumerate(events):
+        present = [(mask >> e) & 1 for e in ev.variable_set]
+        if all(present) if ev.kind == "cycle" else not any(present):
+            out.append(i)
+    return out

@@ -101,6 +101,14 @@ def test_events_cycles_only(tmp_path, capsys):
     assert all(ev["kind"] == "cycle" for ev in doc["events"])
 
 
+def test_events_refuses_oversized_cycle_systems(capsys):
+    # G_8 has 5,448,807 cycles of length 3..5: refused, not enumerated
+    code, out, err = run(capsys, "events", "--n", "2", "--k", "5", "--p", "0.1")
+    assert code == 1
+    assert out == ""
+    assert "exceed the enumeration guard 500000" in err
+
+
 def test_solve_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.dimacs"
     bad.write_text("p edge 3 1\ne 1 x\n")
@@ -289,6 +297,45 @@ def test_search_restarts_recover(capsys):
     code2, out2, _ = run(capsys, *base, "--restarts", "16", "--jobs", "2")
     assert code2 == 0
     assert out2 == out
+
+
+def test_search_jobs_clamped_to_restarts_and_cpus(monkeypatch, capsys):
+    import concurrent.futures
+    import os
+
+    from highgirth import cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._worker_count(8, 5) == 3
+    assert cli._worker_count(8, 2) == 2
+    assert cli._worker_count(2, 5) == 2
+    assert cli._worker_count(0, 5) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._worker_count(8, 5) == 1
+
+    sizes = []
+
+    class RecordingPool:  # runs the restarts in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    base = ("search", "--n", "1", "--k", "3", "--l", "6", "--p", "0.3",
+            "--seed", "1", "--method", "mt")
+    assert run(capsys, *base, "--restarts", "2", "--jobs", "5000")[0] == 0
+    assert run(capsys, *base, "--restarts", "9", "--jobs", "5000")[0] == 0
+    assert run(capsys, *base, "--restarts", "1", "--jobs", "5000")[0] == 0
+    assert sizes == [2, 4]
 
 
 def test_certify_accepts_and_rejects(g4_file, tmp_path, capsys):

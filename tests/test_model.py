@@ -1,20 +1,32 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from highgirth import (
     BaseGraph,
     EdgeSubset,
+    EventSystem,
+    Graph,
     SizeGuardError,
+    build_event_system,
+    cycle_blocks,
     dependency_graph,
     derive_seed,
     enumerate_cycle_events,
+    enumerate_cycles,
     enumerate_independent_set_events,
     log_probability,
     sample_subgraph,
 )
+from highgirth import model
 from highgirth.model import KIND_CYCLE, KIND_INDEPENDENT_SET, EventSpec, ModelParams
+from highgirth.solvers import cycle_edges
+
+from oracles import occurring_events
 
 
 def test_params_validation():
@@ -165,6 +177,79 @@ def test_cycle_events_on_g4(g4):
     assert len(seen) == 8  # distinct edge sets
 
 
+def assert_blocks_match_enumerate_cycles(g, k):
+    blocks = cycle_blocks(g, k)
+    assert [b.s for b in blocks] == list(range(3, k + 1))
+    for b in blocks:
+        cycles = list(enumerate_cycles(g, b.s))
+        edge_ids = [
+            sorted(g.edge_index(u, v) for u, v in cycle_edges(g, c)) for c in cycles
+        ]
+        assert b.members.dtype == b.edge_ids.dtype == np.int32
+        assert b.members.shape == b.edge_ids.shape == (len(cycles), b.s)
+        assert [tuple(row) for row in b.members.tolist()] == cycles
+        assert b.edge_ids.tolist() == edge_ids
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_cycle_blocks_match_enumerate_cycles_on_g4(g4, k):
+    assert_blocks_match_enumerate_cycles(g4, k)
+
+
+def test_cycle_blocks_match_enumerate_cycles_on_g8(g8):
+    assert_blocks_match_enumerate_cycles(g8, 4)
+
+
+small_graphs = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.sampled_from(list(combinations(range(n), 2))))
+        if n >= 2 else st.just(set()),
+    )
+)
+
+
+@given(small_graphs, st.integers(min_value=3, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_cycle_blocks_match_enumerate_cycles_on_random_graphs(data, k):
+    n, edges = data
+    assert_blocks_match_enumerate_cycles(Graph(n, sorted(edges)), k)
+
+
+def test_cycle_blocks_are_independent_of_the_step_size(g8, monkeypatch):
+    wide = cycle_blocks(g8, 4)
+    monkeypatch.setattr(model, "_STEP_CANDIDATES", 2000)  # 55 paths a step
+    for a, b in zip(wide, cycle_blocks(g8, 4)):
+        assert np.array_equal(a.members, b.members)
+        assert np.array_equal(a.edge_ids, b.edge_ids)
+
+
+def test_cycle_guard_counts_every_length(g4):
+    # G_4 has 8 triangles and 15 quadrilaterals
+    assert [len(b) for b in cycle_blocks(g4, 4, guard=23)] == [8, 15]
+    with pytest.raises(SizeGuardError, match="3..4"):
+        cycle_blocks(g4, 4, guard=22)
+    with pytest.raises(SizeGuardError):
+        cycle_blocks(g4, 3, guard=7)
+    with pytest.raises(SizeGuardError):
+        enumerate_cycle_events(g4, 3, 0.3, guard=7)
+
+
+def test_cycle_guard_bounds_open_paths():
+    # K_{2,6}: 15 quadrilaterals, no 5-cycles, but 30 open 3-edge paths from
+    # vertex 0 on the way to them
+    g = Graph(8, [(a, b) for a in (0, 7) for b in range(1, 7)])
+    assert [len(b) for b in cycle_blocks(g, 5, guard=30)] == [0, 15, 0]
+    with pytest.raises(SizeGuardError, match="open paths from vertex 0 towards 5-cycles"):
+        cycle_blocks(g, 5, guard=29)
+
+
+def test_cycle_guard_refuses_g8_pentagons_early(g8):
+    # 5,448,807 events: refused after a few roots, not after allocating them
+    with pytest.raises(SizeGuardError, match="guard 500000"):
+        enumerate_cycle_events(g8, 5, 0.1)
+
+
 def test_cycle_events_on_synthetic_graphs(g4):
     # a forest base yields no events; a single quadrilateral yields one
     forest = BaseGraph(1, list(g4.vertices), [(0, 1), (1, 2), (2, 3)])
@@ -295,3 +380,53 @@ def test_event_spec_validation():
         EventSpec(kind="mystery", variable_set=(0,), meta=3, probability=0.5, members=())
     with pytest.raises(ValueError):
         EventSpec(kind=KIND_CYCLE, variable_set=(), meta=3, probability=0.5, members=())
+
+
+# --- array-backed event systems ------------------------------------------------
+
+
+@pytest.mark.parametrize("k,l", [(3, 3), (4, 4), (5, 2), (6, None), (4, 6)])
+def test_event_blocks_match_the_spec_system(g4, k, l):
+    p = 0.3
+    blocks = build_event_system(g4, k, l, p)
+    events = [] if l is None else enumerate_independent_set_events(g4, l, p)
+    reference = EventSystem.from_events(events + enumerate_cycle_events(g4, k, p))
+    system = blocks.to_system()
+    assert system.to_json() == reference.to_json()
+    assert len(blocks) == len(system)
+    assert blocks.feasible == system.feasible
+    assert [ev.members for ev in blocks.unavoidable] == [
+        ev.members for ev in system.unavoidable
+    ]
+    for i, ev in enumerate(system.events):
+        assert blocks.variable_set(i).tolist() == list(ev.variable_set)
+
+
+@pytest.mark.parametrize("k,l", [(3, 3), (4, 4), (5, 2), (4, 6), (4, None)])
+def test_vectorised_occurrence_matches_scalar_scan(g4, k, l):
+    blocks = build_event_system(g4, k, l, 0.5)
+    events = blocks.to_system().events
+    rng = np.random.default_rng(k * 10 + (l or 0))
+    masks = [0, (1 << g4.num_edges) - 1]
+    masks += [int(m) for m in rng.integers(0, 1 << g4.num_edges, size=200)]
+    for mask in masks:
+        kept = np.array([(mask >> e) & 1 for e in range(g4.num_edges)], dtype=bool)
+        occurring = blocks.occurring(kept)
+        assert occurring.shape == (len(events),)
+        assert np.flatnonzero(occurring).tolist() == occurring_events(events, mask)
+
+
+def test_build_event_system_subset_modes(g4, g8):
+    p = 0.1
+    assert len(build_event_system(g8, 3, 3, p, "auto").subsets) == 54_740
+    assert build_event_system(g8, 3, 3, p, "auto", guard=10_000).subsets == []
+    assert build_event_system(g8, 3, 3, p, False).subsets == []
+    assert build_event_system(g8, 3, None, p, True).subsets == []
+    assert build_event_system(g4, 3, 7, p, "auto").subsets == []
+    with pytest.raises(SizeGuardError):
+        build_event_system(g8, 3, 3, p, True, guard=10_000)
+    with pytest.raises(ValueError, match="outside"):
+        build_event_system(g4, 3, 7, p, True)
+    empty = build_event_system(g4, 2, None, p)
+    assert len(empty) == 0
+    assert empty.occurring(np.ones(g4.num_edges, dtype=bool)).shape == (0,)

@@ -9,6 +9,7 @@ from highgirth import (
     GirthCertificate,
     ModelParams,
     SearchFailure,
+    SizeGuardError,
     SolveBudget,
     certify,
     deletion_method,
@@ -232,6 +233,80 @@ def test_mt_on_g8_with_both_cycle_lengths(g8):
     assert out.girth > 4
     assert out.alpha_exact
     assert recheck_certificate(out, g8) == []
+
+
+# edge_mask_hex of moser_tardos_search(g8, p, seed, k=4, l=50) as recorded
+# by an event-at-a-time EventSpec.occurs scan: the draw order, and so the
+# mask, must not depend on how the violated events are found
+G8_MT_MASKS = {
+    (0.06, 1): (
+        "0028002000400040000800802400000000000000000002000000000000040000"
+        "020000000080000000000800010000000400a000120100822010000002000080"
+        "0000000000700000000000000000000420000000000000000000400000000200"
+        "0480000040000000008200000000000028000000088002000081000000100008"
+        "01001000004010100000000000000000000200008002000001000000200"
+    ),
+    (0.06, 2): (
+        "0800080000000400008002000000008000000000000140080501000801000200"
+        "0000580000020000000000100000000000000200000300000000000000000000"
+        "0000000000040000000800000000000004000000000000000000000080000001"
+        "0000040000805004000080000014000000000400010000000000010420400000"
+        "40000800010080000000000202000200402204100000000000000000080"
+    ),
+    (0.06, 3): (
+        "0084000000008000200040000100200000000000200000200200010000001000"
+        "0000000000000282000000000000204008000000440208000400000004200200"
+        "0004000000010000000102004080020010800020000400000120900000010000"
+        "0000908480280008140000000003000000000000001101100000100000400000"
+        "00200000400040000410000000000000100020004000000000000000000"
+    ),
+    (0.15, 1): (
+        "8002000000000041000801882400800000000010080000014000000000000800"
+        "004001020000000000000804000000000400a000200120922010200000110000"
+        "1020000200600000000000020404000460002000000000300000020040001200"
+        "0002000000001400000400000200000028000020280000000001048448000050"
+        "00001000000000100000420900000000001202008000000001080000000"
+    ),
+    (0.15, 2): (
+        "080680002109004220885600000000a000010001000140000401000c01000200"
+        "0010480240020000000000100020000000000200000200000400402000000008"
+        "8000000400280400000804000000000006000000480002400000000088040010"
+        "40000c0800024004040190800014000000080450010200000200000420000000"
+        "02000800010000000000810002001000006020100050000000020000000"
+    ),
+    (0.15, 3): (
+        "0080000220868040200200002020000000002000200000201304000020002000"
+        "0004000000000002010200000400a8400000440044020a000600000014010202"
+        "008000240200c000100102004000000810800010814410000000040000200000"
+        "0000100004000000080000004000000000100000001100100000100000600004"
+        "00000c00400000000c00000020000000108000114000008800090000000"
+    ),
+}
+
+
+@pytest.mark.parametrize("p,seed", sorted(G8_MT_MASKS))
+def test_mt_g8_certificates_are_pinned(g8, p, seed):
+    out = moser_tardos_search(g8, ModelParams(n=2, p_override=p, seed=seed), k=4, l=50)
+    assert isinstance(out, GirthCertificate)
+    assert out.edge_mask_hex == G8_MT_MASKS[(p, seed)]
+
+
+def test_mt_g8_budget_exhaustion_is_pinned(g8):
+    out = moser_tardos_search(
+        g8, ModelParams(n=2, p_override=0.15, seed=5), k=4, l=50, max_resamples=12
+    )
+    assert isinstance(out, SearchFailure)
+    assert out.resamples == 12
+    assert out.violated_history == (
+        149, 144, 135, 133, 127, 121, 118, 116, 111, 107, 89, 82, 77,
+    )
+
+
+def test_mt_refuses_oversized_cycle_systems(g8):
+    with pytest.raises(SizeGuardError):
+        moser_tardos_search(
+            g8, ModelParams(n=2, p_override=0.1, seed=0), k=4, l=50, guard=200_000
+        )
 
 
 def test_mt_termination_regression(g4):

@@ -22,7 +22,12 @@ from highgirth import (
     independence_number,
     min_edges_over_subsets,
 )
-from highgirth.solvers import verify_coloring, verify_cycle, verify_independent_set
+from highgirth.solvers import (
+    iter_cycles,
+    verify_coloring,
+    verify_cycle,
+    verify_independent_set,
+)
 
 from oracles import (
     alpha_exhaustive,
@@ -158,6 +163,12 @@ def test_enumerated_cycles_are_canonical_and_sorted(g4):
         assert cyc[0] == min(cyc)
         assert cyc[1] < cyc[-1]
         assert verify_cycle(g4, list(cyc))
+
+
+def test_iter_cycles_resumes_at_a_root(g8):
+    quads = list(enumerate_cycles(g8, 4))
+    for root in (0, 1, 17, 69, 70):
+        assert list(iter_cycles(g8.adj, 4, root)) == [c for c in quads if c[0] >= root]
 
 
 @given(edge_subsets, st.integers(min_value=3, max_value=6))
