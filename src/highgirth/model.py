@@ -17,8 +17,9 @@ length s holding the canonical vertex tuples and the ascending edge ids,
 built by the vectorised enumerator ``cycle_blocks``.  ``EventBlocks``
 puts the few l-subset events (as ``EventSpec`` objects) in front of those
 blocks and tests every event against a boolean kept-edge array at once;
-``EventSpec`` lists are only materialised for JSON, the dependency
-structure and the LLL checks (``EventBlocks.to_system``).
+cycle ``EventSpec`` lists are only materialised for JSON, the dependency
+structure and the LLL checks (``enumerate_cycle_events``, which
+``EventBlocks.to_system`` calls).
 
 PRNG contract: sampling uses NumPy's PCG64 stream seeded with the model
 seed, drawing one uniform per base edge in canonical edge-list order;
@@ -312,9 +313,10 @@ def _grow(paths, eid, indptr, nbrs, step, limit, close):
     return np.concatenate(out) if out else np.empty((0, m + 1), np.int32)
 
 
-def _cycle_specs(blocks: list[CycleBlock], p: float) -> list[EventSpec]:
+def enumerate_cycle_events(g: BaseGraph, k: int, p: float) -> list[EventSpec]:
+    """One event per distinct cycle of length 3..k, in canonical order."""
     events = []
-    for block in blocks:
+    for block in cycle_blocks(g, k):
         probability = p**block.s
         events.extend(
             EventSpec(
@@ -329,13 +331,6 @@ def _cycle_specs(blocks: list[CycleBlock], p: float) -> list[EventSpec]:
             )
         )
     return events
-
-
-def enumerate_cycle_events(
-    g: BaseGraph, k: int, p: float, guard: int = EVENT_ENUMERATION_GUARD
-) -> list[EventSpec]:
-    """One event per distinct cycle of length 3..k, in canonical order."""
-    return _cycle_specs(cycle_blocks(g, k, guard), p)
 
 
 @dataclass
@@ -411,23 +406,33 @@ class EventSystem:
 
 @dataclass
 class EventBlocks:
-    """An event system in array form, indexed like ``to_system().events``.
+    """The event system of ``g`` in array form, indexed like ``to_system().events``.
 
     ``subsets`` holds every l-subset event in combinations order,
     unavoidable ones included; the avoidable ones come first in the event
-    order, then ``cycles`` block by block.  ``occurring`` evaluates every
-    event on a boolean kept-edge array without building cycle
-    ``EventSpec`` objects.
+    order, then the cycles of length 3..k block by block.  The cycle
+    blocks are enumerated on first use: ``occurring`` evaluates every event
+    on a boolean kept-edge array without building cycle ``EventSpec``
+    objects, while ``to_system`` builds them through
+    ``enumerate_cycle_events`` instead.
     """
 
+    g: BaseGraph
+    k: int
     p: float
     subsets: list[EventSpec]
-    cycles: list[CycleBlock]
 
     def __post_init__(self):
         self.unavoidable = [ev for ev in self.subsets if ev.unavoidable]
+
+    @cached_property
+    def cycles(self) -> list[CycleBlock]:
+        return cycle_blocks(self.g, self.k)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
         avoidable = len(self.subsets) - len(self.unavoidable)
-        self._offsets = np.cumsum([avoidable] + [len(b) for b in self.cycles])
+        return np.cumsum([avoidable] + [len(b) for b in self.cycles])
 
     def __len__(self) -> int:
         return int(self._offsets[-1])
@@ -469,7 +474,7 @@ class EventBlocks:
 
     def to_system(self) -> EventSystem:
         return EventSystem.from_events(
-            self.subsets + _cycle_specs(self.cycles, self.p)
+            self.subsets + enumerate_cycle_events(self.g, self.k, self.p)
         )
 
 
@@ -478,23 +483,19 @@ def build_event_system(
     k: int,
     l: int | None,
     p: float,
-    subset_events: bool | str = True,
     guard: int = EVENT_ENUMERATION_GUARD,
 ) -> EventBlocks:
-    """Cycle events for lengths 3..k plus, when asked for, l-subset events.
+    """Cycle events for lengths 3..k plus, unless ``l`` is None, l-subset events.
 
-    ``subset_events=True`` makes the subset events mandatory: an l outside
-    [1, N] raises ``ValueError`` and more than ``guard`` subsets raise
-    ``SizeGuardError``.  ``"auto"`` adds them only when l <= N and the
-    C(N, l) subsets fit the guard; ``False`` or ``l=None`` never does.
-    Cycles past the guard raise ``SizeGuardError`` in every mode.
+    An l outside [1, N] raises ``ValueError`` and more than ``guard``
+    subsets raise ``SizeGuardError``.  Cycles past
+    ``EVENT_ENUMERATION_GUARD`` raise ``SizeGuardError`` when the system
+    first needs them.
     """
-    subsets: list[EventSpec] = []
-    if l is not None and subset_events:
-        nv = g.num_vertices
-        if subset_events is True or (l <= nv and comb(nv, l) <= guard):
-            subsets = enumerate_independent_set_events(g, l, p, guard=guard)
-    return EventBlocks(p, subsets, cycle_blocks(g, k, guard))
+    subsets = []
+    if l is not None:
+        subsets = enumerate_independent_set_events(g, l, p, guard=guard)
+    return EventBlocks(g, k, p, subsets)
 
 
 def dependency_graph(events: list[EventSpec]) -> EventSystem:

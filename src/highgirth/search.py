@@ -250,7 +250,7 @@ def moser_tardos_search(
     and the count C(N, l) fits the guard.  The default budget is ten
     resamples per event.  Budget exhaustion and certification rejections
     come back as ``SearchFailure`` values, never exceptions; more than
-    ``guard`` cycles raise ``SizeGuardError``.
+    ``EVENT_ENUMERATION_GUARD`` cycles raise ``SizeGuardError``.
 
     The subgraph is a boolean kept-edge array and every round rescans all
     events at once with ``EventBlocks.occurring``; no cycle ``EventSpec``
@@ -258,15 +258,15 @@ def moser_tardos_search(
     """
     p = params.p
     nv = g.num_vertices
-    if l > nv:
-        subset_events = False
-    elif subset_events is True and math.comb(nv, l) > guard:
+    enumerable = l <= nv and math.comb(nv, l) <= guard
+    if subset_events is True and l <= nv and not enumerable:
         return SearchFailure(
             reason=f"subset events required but C({nv}, {l}) "
             f"exceeds the enumeration guard {guard}",
             n=g.n, k=k, l=l, seed=params.seed,
         )
-    system = build_event_system(g, k, l, p, subset_events, guard)
+    subset_l = l if subset_events and enumerable else None
+    system = build_event_system(g, k, subset_l, p, guard)
     if not system.feasible:
         return SearchFailure(
             reason=f"{len(system.unavoidable)} l-subsets span no base edge "

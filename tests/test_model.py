@@ -231,8 +231,6 @@ def test_cycle_guard_counts_every_length(g4):
         cycle_blocks(g4, 4, guard=22)
     with pytest.raises(SizeGuardError):
         cycle_blocks(g4, 3, guard=7)
-    with pytest.raises(SizeGuardError):
-        enumerate_cycle_events(g4, 3, 0.3, guard=7)
 
 
 def test_cycle_guard_bounds_open_paths():
@@ -416,17 +414,14 @@ def test_vectorised_occurrence_matches_scalar_scan(g4, k, l):
         assert np.flatnonzero(occurring).tolist() == occurring_events(events, mask)
 
 
-def test_build_event_system_subset_modes(g4, g8):
+def test_build_event_system_subset_events(g4, g8):
     p = 0.1
-    assert len(build_event_system(g8, 3, 3, p, "auto").subsets) == 54_740
-    assert build_event_system(g8, 3, 3, p, "auto", guard=10_000).subsets == []
-    assert build_event_system(g8, 3, 3, p, False).subsets == []
-    assert build_event_system(g8, 3, None, p, True).subsets == []
-    assert build_event_system(g4, 3, 7, p, "auto").subsets == []
+    assert len(build_event_system(g8, 3, 3, p).subsets) == 54_740
+    assert build_event_system(g8, 3, None, p).subsets == []
     with pytest.raises(SizeGuardError):
-        build_event_system(g8, 3, 3, p, True, guard=10_000)
+        build_event_system(g8, 3, 3, p, guard=10_000)
     with pytest.raises(ValueError, match="outside"):
-        build_event_system(g4, 3, 7, p, True)
+        build_event_system(g4, 3, 7, p)
     empty = build_event_system(g4, 2, None, p)
     assert len(empty) == 0
     assert empty.occurring(np.ones(g4.num_edges, dtype=bool)).shape == (0,)

@@ -187,6 +187,29 @@ def test_mt_respects_subset_guard(g8):
     assert "guard" in out.reason
 
 
+def test_mt_subset_event_policy(g4, g8, monkeypatch):
+    # which l reaches the event builder: subset events come only when
+    # allowed, l <= N and C(N, l) fits the guard
+    import highgirth.search as search
+
+    seen = []
+    real = search.build_event_system
+
+    def spy(g, k, l, p, guard):
+        seen.append(l)
+        return real(g, k, l, p, guard)
+
+    monkeypatch.setattr(search, "build_event_system", spy)
+    p4 = ModelParams(n=1, p_override=0.3, seed=1)
+    for mode in ("auto", True, False):
+        moser_tardos_search(g4, p4, k=3, l=7, subset_events=mode, max_resamples=0)
+    for mode in ("auto", True, False):
+        moser_tardos_search(g4, p4, k=3, l=4, subset_events=mode, max_resamples=0)
+    p8 = ModelParams(n=2, p_override=0.1, seed=0)
+    moser_tardos_search(g8, p8, k=3, l=10, guard=100, max_resamples=0)
+    assert seen == [None, None, None, 4, 4, None, None]
+
+
 def test_mt_is_deterministic(g4):
     params = ModelParams(n=1, p_override=0.3, seed=21)
     a = moser_tardos_search(g4, params, k=3, l=6)
@@ -302,11 +325,10 @@ def test_mt_g8_budget_exhaustion_is_pinned(g8):
     )
 
 
-def test_mt_refuses_oversized_cycle_systems(g8):
-    with pytest.raises(SizeGuardError):
-        moser_tardos_search(
-            g8, ModelParams(n=2, p_override=0.1, seed=0), k=4, l=50, guard=200_000
-        )
+def test_mt_refuses_oversized_cycle_systems(g12):
+    # G_12 has 10.1M triangles: refused after a few roots
+    with pytest.raises(SizeGuardError, match="guard 500000"):
+        moser_tardos_search(g12, ModelParams(n=3, p_override=0.1, seed=0), k=3, l=50)
 
 
 def test_mt_termination_regression(g4):
