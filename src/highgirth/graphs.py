@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from math import comb, exp, log
 from typing import Iterator
 
+import numpy as np
+
 #: Refuse full materialization above this many coordinates unless overridden.
 #: C(16,8) = 12870 vertices is the practical desk ceiling.
 DIMENSION_GUARD = 16
@@ -94,41 +96,99 @@ def scalar_product(x: BitVertex, y: BitVertex) -> int:
     return (x.mask & y.mask).bit_count()
 
 
+def _canonical_edges(num_vertices: int, edges) -> np.ndarray:
+    """Validated edges as sorted ``(u, v)`` rows with ``u < v``.
+
+    Raises ``ValueError`` for anything but integer pairs, naming the first
+    self-loop or out-of-range edge in input order, or the first duplicate
+    in canonical order.
+    """
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if not pairs.size:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    elif pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise ValueError("edges must be pairs of integer vertex indices")
+    pairs = pairs.astype(np.int64, copy=False)
+    u, v = pairs[:, 0], pairs[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo == hi) | (lo < 0) | (hi >= num_vertices)
+    if bad.any():
+        a, b = pairs[bad.argmax()].tolist()
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        raise ValueError(f"edge ({a}, {b}) out of range")
+    key = lo * num_vertices + hi
+    if np.any(key[1:] <= key[:-1]):
+        order = np.argsort(key, kind="stable")
+        lo, hi, key = lo[order], hi[order], key[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            raise ValueError(f"duplicate edge {(int(lo[dup[0]]), int(hi[dup[0]]))}")
+    return np.column_stack((lo, hi))
+
+
+def _edge_tuples(num_vertices: int, edge_array: np.ndarray) -> list[tuple[int, int]]:
+    """The edge rows as tuples that share one int object per vertex."""
+    ends = np.array(range(num_vertices), dtype=object)[edge_array]
+    return list(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+
+
+#: Cells per row block of the dense matrices the graph builders fill; bounds
+#: their temporaries whatever the vertex count.
+_BLOCK_CELLS = 1 << 22
+
+
+def _adjacency_masks(num_vertices: int, canon: np.ndarray) -> list[int]:
+    """Per-vertex neighbour bitmasks from canonical ``(u, v)`` edge rows.
+
+    Rows of a dense 0/1 adjacency block are packed little-endian, so bit
+    ``w`` of vertex ``v``'s int is set exactly when ``{v, w}`` is an edge.
+    Blocks of rows bound the dense matrix to ``_BLOCK_CELLS`` cells.
+    """
+    u, v = canon[:, 0], canon[:, 1]
+    rows = max(1, _BLOCK_CELLS // max(num_vertices, 1))
+    adj: list[int] = []
+    for start in range(0, num_vertices, rows):
+        stop = min(start + rows, num_vertices)
+        dense = np.zeros((stop - start, num_vertices), dtype=bool)
+        for src, dst in ((u, v), (v, u)):
+            inside = (src >= start) & (src < stop)
+            dense[src[inside] - start, dst[inside]] = True
+        packed = np.packbits(dense, axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return adj
+
+
 class Graph:
     """An undirected graph on vertices ``0..num_vertices-1``.
 
-    Edges are kept in a canonical sorted list of ``(u, v)`` pairs with
-    ``u < v``; adjacency is a bitmask per vertex for fast set algebra.
+    Edges are kept canonically as sorted ``(u, v)`` pairs with ``u < v``:
+    an ``(E, 2)`` array, and a list of tuples built on first use.
+    Adjacency is a bitmask per vertex for fast set algebra.
     """
 
-    __slots__ = ("num_vertices", "edge_list", "adj", "_edge_index")
+    __slots__ = ("num_vertices", "edge_array", "adj", "_edge_list", "_edge_start")
 
     def __init__(self, num_vertices: int, edges):
         if num_vertices < 0:
             raise ValueError("vertex count must be nonnegative")
         self.num_vertices = num_vertices
-        canon = []
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < num_vertices and 0 <= v < num_vertices):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise ValueError(f"duplicate edge {a}")
-        self.edge_list: list[tuple[int, int]] = canon
-        adj = [0] * num_vertices
-        for u, v in canon:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adj: list[int] = adj
-        self._edge_index: dict[tuple[int, int], int] | None = None
+        #: The canonical edge list as an (E, 2) int64 array.
+        self.edge_array: np.ndarray = _canonical_edges(num_vertices, edges)
+        self.adj: list[int] = _adjacency_masks(num_vertices, self.edge_array)
+        self._edge_list: list[tuple[int, int]] | None = None
+        self._edge_start: list[int] | None = None
+
+    @property
+    def edge_list(self) -> list[tuple[int, int]]:
+        """The canonical edge list as ``(u, v)`` tuples."""
+        if self._edge_list is None:
+            self._edge_list = _edge_tuples(self.num_vertices, self.edge_array)
+        return self._edge_list
 
     @property
     def num_edges(self) -> int:
-        return len(self.edge_list)
+        return len(self.edge_array)
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -140,10 +200,22 @@ class Graph:
         return iter_bits(self.adj[v])
 
     def edge_index(self, u: int, v: int) -> int:
-        """Index of edge ``{u, v}`` in the canonical edge list."""
-        if self._edge_index is None:
-            self._edge_index = {e: i for i, e in enumerate(self.edge_list)}
-        return self._edge_index[(u, v) if u < v else (v, u)]
+        """Index of edge ``{u, v}`` in the canonical edge list.
+
+        Raises ``KeyError`` when ``{u, v}`` is not an edge.  The index is
+        the number of edges whose smaller end is below ``u``, plus the
+        neighbours of ``u`` strictly between ``u`` and ``v``.
+        """
+        if u > v:
+            u, v = v, u
+        if not (0 <= u and v < self.num_vertices and (self.adj[u] >> v) & 1):
+            raise KeyError((u, v))
+        if self._edge_start is None:
+            self._edge_start = np.searchsorted(
+                self.edge_array[:, 0], np.arange(self.num_vertices)
+            ).tolist()
+        between = (self.adj[u] >> (u + 1)) & ((1 << (v - u - 1)) - 1)
+        return self._edge_start[u] + between.bit_count()
 
 
 class BaseGraph(Graph):
@@ -195,12 +267,37 @@ def build_base_graph(n: int, allow_large: bool = False) -> BaseGraph:
         )
     masks = _balanced_masks(dim)
     vertices = [BitVertex(m, dim) for m in masks]
-    edges = []
-    for i, mi in enumerate(masks):
-        for j in range(i + 1, len(masks)):
-            if (mi & masks[j]).bit_count() == n:
-                edges.append((i, j))
-    return BaseGraph(n, vertices, edges)
+    return BaseGraph(n, vertices, _product_n_pairs(masks, dim, n))
+
+
+def _product_n_pairs(masks: list[int], dim: int, n: int) -> np.ndarray:
+    """All pairs ``i < j`` with ``|masks[i] & masks[j]| == n``, as (E, 2) rows.
+
+    The ``dim``-bit masks are split into 16-bit limbs, and the AND of each
+    limb pair is counted through a 65,536-entry popcount table, one block
+    of rows at a time; ``np.nonzero`` over each block's upper triangle
+    yields the pairs in lexicographic order.
+    """
+    values = np.arange(1 << 16, dtype=np.uint16)
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    for b in range(16):
+        table += (values >> b & 1).astype(np.uint8)
+    arr = np.array(masks, dtype=np.uint64)
+    limbs = [
+        (arr >> np.uint64(shift) & np.uint64(0xFFFF)).astype(np.uint16)
+        for shift in range(0, dim, 16)
+    ]
+    size = len(masks)
+    rows = max(1, _BLOCK_CELLS // max(size, 1))
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        count = np.zeros((stop - start, size), dtype=np.uint8)
+        for limb in limbs:
+            count += table[limb[start:stop, None] & limb[None, :]]
+        i, j = np.nonzero(np.triu(count == n, k=start + 1))
+        found.append(np.column_stack((i + start, j)))
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -243,18 +340,24 @@ class EdgeSubset:
     def num_edges(self) -> int:
         return self.mask.bit_count()
 
-    def edge_indices(self) -> Iterator[int]:
-        return iter_bits(self.mask)
+    def _index_array(self) -> np.ndarray:
+        """Set-bit positions of the mask, ascending, via ``np.unpackbits``."""
+        raw = self.mask.to_bytes((self.base.num_edges + 7) // 8, "little")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(bits)
+
+    def edge_indices(self) -> list[int]:
+        return self._index_array().tolist()
 
     def contains(self, edge_index: int) -> bool:
         return bool((self.mask >> edge_index) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         el = self.base.edge_list
-        return [el[i] for i in iter_bits(self.mask)]
+        return [el[i] for i in self.edge_indices()]
 
     def to_graph(self) -> Graph:
-        return Graph(self.base.num_vertices, self.edges())
+        return Graph(self.base.num_vertices, self.base.edge_array[self._index_array()])
 
     def mask_hex(self) -> str:
         """Hex encoding of the mask, zero-padded to cover the edge list."""

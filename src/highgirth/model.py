@@ -168,6 +168,16 @@ class EventSpec:
         }
 
 
+def _edge_id_matrix(g: Graph) -> np.ndarray:
+    """Dense int32 matrix of edge indices: ``eid[u, v]`` for each edge, else -1."""
+    eid = np.full((g.num_vertices, g.num_vertices), -1, dtype=np.int32)
+    u, v = g.edge_array.T
+    ids = np.arange(g.num_edges, dtype=np.int32)
+    eid[u, v] = ids
+    eid[v, u] = ids
+    return eid
+
+
 def enumerate_independent_set_events(
     g: BaseGraph, l: int, p: float, guard: int = EVENT_ENUMERATION_GUARD
 ) -> list[EventSpec]:
@@ -186,6 +196,7 @@ def enumerate_independent_set_events(
         raise SizeGuardError(
             f"C({nv}, {l}) = {total} subsets exceed the enumeration guard {guard}"
         )
+    eid = _edge_id_matrix(g).tolist()
     events = []
     for subset in combinations(range(nv), l):
         mask = 0
@@ -195,7 +206,7 @@ def enumerate_independent_set_events(
         for v in subset:
             for w in iter_bits(g.adj[v] & mask):
                 if w > v:
-                    edge_ids.append(g.edge_index(v, w))
+                    edge_ids.append(eid[v][w])
         edge_ids.sort()
         events.append(
             EventSpec(
@@ -238,12 +249,7 @@ def cycle_blocks(
     root pass ``guard``.
     """
     nv = g.num_vertices
-    eid = np.full((nv, nv), -1, dtype=np.int32)
-    if g.num_edges:
-        u, v = np.array(g.edge_list, dtype=np.int32).T
-        ids = np.arange(g.num_edges, dtype=np.int32)
-        eid[u, v] = ids
-        eid[v, u] = ids
+    eid = _edge_id_matrix(g)
     adjacent = eid >= 0
     indptr = np.concatenate(([0], np.cumsum(adjacent.sum(axis=1))))
     nbrs = np.nonzero(adjacent)[1].astype(np.int32)  # row-major: ascending

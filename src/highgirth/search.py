@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .graphs import BaseGraph, EdgeSubset
+from .graphs import BaseGraph, EdgeSubset, Graph
 from .model import (
     EVENT_ENUMERATION_GUARD,
     ModelParams,
@@ -39,7 +39,13 @@ from .model import (
     build_event_system,
     sample_subgraph,
 )
-from .solvers import SolveBudget, girth, independence_number, iter_cycles
+from .solvers import (
+    SolveBudget,
+    SolveResult,
+    girth,
+    independence_number,
+    iter_cycles,
+)
 
 
 class CertificationError(Exception):
@@ -161,24 +167,46 @@ def certify(
     Rejection carries a refuting witness: a short cycle, or an independent
     set larger than l.  If the independence solve leaves budget before
     reaching exactness the certification is refused outright rather than
-    emitting an unverified bound.
+    emitting an unverified bound.  The subset is converted to a ``Graph``
+    once and both solvers run on that graph.
     """
     if k < 0:
         raise ValueError(f"forbidden-cycle ceiling must be >= 0, got {k}")
     if l < 1:
         raise ValueError(f"independence bound must be >= 1, got {l}")
-    girth_result = girth(sub)
-    if girth_result.value <= k:
-        raise CertificationError(
-            f"girth {girth_result.value} is not above {k}",
-            witness=girth_result.witness,
-        )
-    alpha_result = independence_number(sub, alpha_budget)
+    g = sub.to_graph()
+    girth_result = _girth_above(g, k)
+    alpha_result = independence_number(g, alpha_budget)
     if not alpha_result.exact:
         raise CertificationError(
             "independence solve exhausted its budget; refusing to certify "
             "an unverified bound"
         )
+    return _certificate(sub, k, l, girth_result, alpha_result, seed, gamma, p)
+
+
+def _girth_above(g: Graph, k: int) -> SolveResult:
+    """The girth of ``g``; a ``CertificationError`` unless it exceeds k."""
+    girth_result = girth(g)
+    if girth_result.value <= k:
+        raise CertificationError(
+            f"girth {girth_result.value} is not above {k}",
+            witness=girth_result.witness,
+        )
+    return girth_result
+
+
+def _certificate(
+    sub: EdgeSubset,
+    k: int,
+    l: int,
+    girth_result: SolveResult,
+    alpha_result: SolveResult,
+    seed: int | None,
+    gamma: float | None,
+    p: float | None,
+) -> GirthCertificate:
+    """The certificate for a verified girth and an exact alpha <= l."""
     if alpha_result.value > l:
         raise CertificationError(
             f"independence number {alpha_result.value} exceeds the bound {l}",
@@ -203,22 +231,34 @@ def certify(
     )
 
 
-def recheck_certificate(cert: GirthCertificate, base: BaseGraph) -> list[str]:
+def recheck_certificate(
+    cert: GirthCertificate,
+    base: BaseGraph,
+    alpha_budget: SolveBudget | None = None,
+) -> list[str]:
     """Re-verify every claim of a certificate from scratch.
 
     Returns a list of discrepancies (empty means the certificate stands).
     Runs the exact solvers on the reconstructed subgraph, independently of
-    whatever produced the certificate.
+    whatever produced the certificate.  With ``alpha_budget`` the
+    independence solve is bounded; if it runs out, alpha stays unproven
+    and that is reported as a discrepancy, so an exhausted recheck never
+    confirms a certificate.
     """
     problems = []
-    sub = cert.subgraph(base)
-    girth_result = girth(sub)
+    g = cert.subgraph(base).to_graph()
+    girth_result = girth(g)
     if girth_result.value != cert.girth:
         problems.append(f"girth is {girth_result.value}, certificate says {cert.girth}")
     if girth_result.value <= cert.k:
         problems.append(f"girth {girth_result.value} is not above k = {cert.k}")
-    alpha_result = independence_number(sub)
-    if alpha_result.value != cert.alpha:
+    alpha_result = independence_number(g, alpha_budget)
+    if not alpha_result.exact:
+        problems.append(
+            f"independence solve exhausted its budget at alpha >= "
+            f"{alpha_result.value}; alpha = {cert.alpha} is unverified"
+        )
+    elif alpha_result.value != cert.alpha:
         problems.append(f"alpha is {alpha_result.value}, certificate says {cert.alpha}")
     if alpha_result.value > cert.l:
         problems.append(f"alpha {alpha_result.value} exceeds l = {cert.l}")
@@ -324,14 +364,15 @@ def deletion_method(
     Cycles are destroyed shortest first; each round removes the smallest
     edge (by canonical index) of the canonically first shortest cycle, so
     a fixed seed always yields the same subgraph.  Afterwards the exact
-    independence number becomes the certificate's bound l.  Terminates
-    unconditionally: every deletion kills at least one short cycle.
+    independence number becomes the certificate's bound l; that one exact
+    solve both picks l and certifies it, together with a girth check of the
+    same graph.  Terminates unconditionally: every deletion kills at least
+    one short cycle.
     """
     sub = sample_subgraph(g, params)
     adj = [0] * g.num_vertices
     mask = sub.mask
-    for i in sub.edge_indices():
-        u, v = g.edge_list[i]
+    for u, v in g.edge_array[sub.edge_indices()].tolist():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     for s in range(3, k + 1):
@@ -346,20 +387,20 @@ def deletion_method(
                 v = cycle[(i + 1) % s]
                 edge_ids.append(g.edge_index(u, v))
             drop = min(edge_ids)
-            a, b = g.edge_list[drop]
+            a, b = g.edge_array[drop].tolist()
             adj[a] &= ~(1 << b)
             adj[b] &= ~(1 << a)
             mask &= ~(1 << drop)
     final = EdgeSubset(g, mask)
-    alpha_result = independence_number(final, alpha_budget)
+    graph = final.to_graph()
+    alpha_result = independence_number(graph, alpha_budget)
     if not alpha_result.exact:
         raise CertificationError(
             "independence solve exhausted its budget; cannot pick a "
             "certified bound l"
         )
-    return certify(
-        final, k, int(alpha_result.value),
-        alpha_budget=alpha_budget,
+    return _certificate(
+        final, k, int(alpha_result.value), _girth_above(graph, k), alpha_result,
         seed=params.seed, gamma=params.gamma, p=params.p,
     )
 

@@ -3,9 +3,14 @@
 Everything here enumerates outright: subsets for independence, color
 assignments for coloring, vertex arrangements for cycles, cliques for the
 independence cross-check.  Only usable on small graphs.
+
+Fast paths also keep their former slow implementations here, as
+references that must agree with them exactly.
 """
 
 from itertools import combinations, permutations, product
+
+from highgirth.solvers import _Budget, _Exhausted
 
 
 def edge_set(edges):
@@ -114,3 +119,108 @@ def occurring_events(events, mask):
         if all(present) if ev.kind == "cycle" else not any(present):
             out.append(i)
     return out
+
+
+def base_graph_pairscan(n):
+    """The base graph by scanning every vertex pair with a big-int popcount.
+
+    Returns ``(masks, edge_list, adj)``: balanced masks in numeric order,
+    edges ``(i, j)`` with ``i < j`` in lexicographic order, and one
+    adjacency bitmask per vertex.
+    """
+    dim = 4 * n
+    masks = [m for m in range(1 << dim) if m.bit_count() * 2 == dim]
+    edges = []
+    adj = [0] * len(masks)
+    for i, mi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            if (mi & masks[j]).bit_count() == n:
+                edges.append((i, j))
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return masks, edges, adj
+
+
+# The sparse independent-set kernel as it was before degrees were kept
+# incrementally: every node rescans the active set from bit 0 for each
+# peeled vertex and again for the branching vertex.  Same search tree,
+# same budget ticks; the fast kernel must match it node for node.
+
+
+def _greedy_sparse_mis(adj: list[int], active: int) -> list[int]:
+    """Deterministic min-degree greedy independent set (initial incumbent)."""
+    chosen = []
+    while active:
+        best_v, best_d = -1, None
+        m = active
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            d = (adj[v] & active).bit_count()
+            if best_d is None or d < best_d:
+                best_v, best_d = v, d
+                if d == 0:
+                    break
+        chosen.append(best_v)
+        active &= ~(adj[best_v] | (1 << best_v))
+    return chosen
+
+
+def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], bool]:
+    """Branch-and-reduce maximum independent set for sparse graphs.
+
+    Vertices of degree <= 1 are always taken (exchange argument); branching
+    happens only on a maximum-degree vertex, in or out.  Far faster than
+    the complement-clique route when the complement is dense.
+    """
+    best = _greedy_sparse_mis(adj, (1 << n) - 1)
+    exact = True
+
+    def search(active: int, current: list[int]):
+        nonlocal best
+        budget.tick()
+        mark = len(current)
+        try:
+            while True:  # peel: degree <= 1 vertices are always optimal picks
+                picked = -1
+                m = active
+                while m:
+                    low = m & -m
+                    m ^= low
+                    v = low.bit_length() - 1
+                    if (adj[v] & active).bit_count() <= 1:
+                        picked = v
+                        break
+                if picked < 0:
+                    break
+                current.append(picked)
+                active &= ~(adj[picked] | (1 << picked))
+            if not active:
+                if len(current) > len(best):
+                    best = current.copy()
+                return
+            if len(current) + active.bit_count() <= len(best):
+                return
+            v_star, d_star = -1, -1
+            m = active
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                d = (adj[v] & active).bit_count()
+                if d > d_star:
+                    v_star, d_star = v, d
+            current.append(v_star)
+            search(active & ~(adj[v_star] | (1 << v_star)), current)
+            current.pop()
+            search(active & ~(1 << v_star), current)
+        finally:
+            del current[mark:]
+
+    try:
+        if n:
+            search((1 << n) - 1, [])
+    except _Exhausted:
+        exact = False
+    return sorted(best), exact

@@ -1,20 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from highgirth import (
     BaseGraph,
     BitVertex,
     EdgeSubset,
+    Graph,
+    ModelParams,
     MetricError,
     SizeGuardError,
     build_base_graph,
     count_formulas,
     embed_codimension,
+    sample_subgraph,
     scalar_product,
     verify_unit_distance,
 )
+from highgirth.graphs import iter_bits
 
-from oracles import edges_within_exhaustive
+from oracles import base_graph_pairscan, edges_within_exhaustive
 
 
 def test_g4_structure(g4):
@@ -167,3 +173,57 @@ def test_edges_within_matches_oracle(g4):
         assert edges_within(g4, subset) == edges_within_exhaustive(
             g4.edge_list, subset
         )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_array_built_base_graph_matches_pair_scan(n, g4, g8, g12):
+    g = {1: g4, 2: g8, 3: g12}[n]
+    masks, edges, adj = base_graph_pairscan(n)
+    assert [v.mask for v in g.vertices] == masks
+    assert g.edge_list == edges
+    assert g.edge_array.tolist() == [list(e) for e in edges]
+    assert g.adj == adj
+
+
+def test_edge_indices_match_iter_bits_on_g12_samples(g12):
+    for p in (0.0, 0.001, 0.01, 0.3, 1.0):
+        sub = sample_subgraph(g12, ModelParams(n=3, seed=5, p_override=p))
+        indices = sub.edge_indices()
+        assert indices == list(iter_bits(sub.mask))
+        assert sub.edges() == [g12.edge_list[i] for i in indices]
+        assert sub.to_graph().edge_list == sub.edges()
+
+
+@given(st.integers(min_value=0, max_value=(1 << 1260) - 1))
+@settings(max_examples=60, deadline=None)
+def test_edge_indices_match_iter_bits(g8, mask):
+    assert EdgeSubset(g8, mask).edge_indices() == list(iter_bits(mask))
+
+
+def test_graph_canonicalises_and_validates_edges():
+    g = Graph(5, [(3, 1), (0, 4), (1, 0), (2, 3)])
+    assert g.edge_list == [(0, 1), (0, 4), (1, 3), (2, 3)]
+    assert Graph(5, np.array([[3, 1], [0, 4], [1, 0], [2, 3]])).edge_list == g.edge_list
+    assert g.adj == [0b10010, 0b01001, 0b01000, 0b00110, 0b00001]
+    with pytest.raises(ValueError, match=r"self-loop at vertex 7"):
+        Graph(3, [(0, 1), (7, 7), (0, 9)])  # first bad edge in input order
+    with pytest.raises(ValueError, match=r"edge \(0, 9\) out of range"):
+        Graph(3, [(0, 1), (0, 9), (2, 2)])
+    with pytest.raises(ValueError, match=r"edge \(-1, 2\) out of range"):
+        Graph(3, [(-1, 2)])
+    with pytest.raises(ValueError, match=r"duplicate edge \(1, 2\)"):
+        Graph(3, [(2, 1), (0, 1), (1, 2)])
+    for malformed in ([(0, 1.5)], [(0, 1, 2)], [(0, 1, 2), (0, 2, 1)], [0, 1]):
+        with pytest.raises(ValueError, match="integer vertex indices"):
+            Graph(3, malformed)
+    assert Graph(0, []).adj == [] and Graph(3, []).adj == [0, 0, 0]
+
+
+def test_edge_index_matches_edge_list(g8):
+    for i, (u, v) in enumerate(g8.edge_list):
+        assert g8.edge_index(u, v) == i == g8.edge_index(v, u)
+    u = 0
+    absent = next(w for w in range(1, g8.num_vertices) if not g8.has_edge(u, w))
+    for pair in [(u, absent), (3, 3), (-1, 5), (0, g8.num_vertices)]:
+        with pytest.raises(KeyError):
+            g8.edge_index(*pair)

@@ -386,6 +386,74 @@ def test_recheck_flags_tampering(g4):
     assert any("not above" in p for p in recheck_certificate(tampered, g4))
 
 
+def test_recheck_with_an_exhausted_budget_never_confirms(g12):
+    # forged: the full G_12 is dense, so alpha cannot finish in 1000 nodes
+    full = EdgeSubset.full(g12)
+    forged = GirthCertificate(
+        n=3, k=4, l=2, alpha=2, alpha_exact=True, chi_lower=462,
+        empirical_rate=462 ** (1 / 12), girth=5, edge_mask_hex=full.mask_hex(),
+    )
+    problems = recheck_certificate(forged, g12, SolveBudget(node_limit=1000))
+    assert any("exhausted its budget" in p for p in problems)
+
+
+def test_recheck_budget_on_a_genuine_certificate(g12):
+    cert = deletion_method(
+        g12, ModelParams(n=3, p_override=0.006, seed=3), k=4,
+        alpha_budget=SolveBudget(node_limit=1000),
+    )
+    assert recheck_certificate(cert, g12, SolveBudget(node_limit=1000)) == []
+    problems = recheck_certificate(cert, g12, SolveBudget(node_limit=1))
+    assert len(problems) == 1 and "exhausted its budget" in problems[0]
+
+
+def _call_counter(monkeypatch, owner, name):
+    calls = []
+    wrapped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_deletion_solves_alpha_once_and_converts_once(g12, monkeypatch):
+    import highgirth.search as search_module
+
+    params = ModelParams(n=3, p_override=0.006, seed=3)
+    budget = SolveBudget(node_limit=1000)
+    expected = deletion_method(g12, params, k=4, alpha_budget=budget)
+    solves = _call_counter(monkeypatch, search_module, "independence_number")
+    conversions = _call_counter(monkeypatch, EdgeSubset, "to_graph")
+    cert = deletion_method(g12, params, k=4, alpha_budget=budget)
+    assert cert == expected
+    assert len(solves) == 1 and len(conversions) == 1
+    # the single solve certifies exactly what certify would
+    assert cert == certify(
+        cert.subgraph(g12), 4, cert.l, alpha_budget=budget,
+        seed=params.seed, gamma=params.gamma, p=params.p,
+    )
+
+
+def test_certify_converts_the_subset_once(g8, monkeypatch):
+    conversions = _call_counter(monkeypatch, EdgeSubset, "to_graph")
+    certify(EdgeSubset.full(g8), k=2, l=70)
+    assert len(conversions) == 1
+
+
+def test_deletion_budget_failure_reason(g12):
+    with pytest.raises(CertificationError) as err:
+        deletion_method(
+            g12, ModelParams(n=3, p_override=0.01, seed=1), k=4,
+            alpha_budget=SolveBudget(node_limit=1000),
+        )
+    assert err.value.reason == (
+        "independence solve exhausted its budget; cannot pick a certified bound l"
+    )
+
+
 def test_certificate_independent_cross_check_with_networkx(g4):
     nx = pytest.importorskip("networkx")
     cert = deletion_method(g4, ModelParams(n=1, p_override=0.8, seed=13), k=3)

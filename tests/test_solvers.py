@@ -22,13 +22,18 @@ from highgirth import (
     independence_number,
     min_edges_over_subsets,
 )
+from highgirth import solvers
+from highgirth.graphs import iter_bits
+from highgirth.model import ModelParams, sample_subgraph
 from highgirth.solvers import (
+    _Budget,
     iter_cycles,
     verify_coloring,
     verify_cycle,
     verify_independent_set,
 )
 
+import oracles
 from oracles import (
     alpha_exhaustive,
     chi_exhaustive,
@@ -217,6 +222,66 @@ def test_independence_matches_oracle(data):
     assert res.value == alpha_exhaustive(n, g.edge_list)
     assert verify_independent_set(g, res.witness)
     assert len(res.witness) == res.value
+
+
+# --- sparse kernel against its former implementation ---------------------
+
+
+sparse_graphs = st.tuples(
+    st.integers(min_value=1, max_value=48),  # vertices
+    st.floats(min_value=0.0, max_value=0.3),  # edge density
+    st.integers(min_value=0, max_value=2**32 - 1),  # edge seed
+    st.integers(min_value=0, max_value=80),  # node limit, 0 = unlimited
+)
+
+
+def _counted(run):
+    """``run()``'s result and the number of ``_Budget.tick`` calls it made."""
+    ticks = 0
+    tick = _Budget.tick
+
+    def counting(self):
+        nonlocal ticks
+        ticks += 1
+        tick(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Budget, "tick", counting)
+        result = run()
+    return result, ticks
+
+
+@given(sparse_graphs)
+@settings(max_examples=150, deadline=None)
+def test_sparse_kernel_matches_former_kernel(data):
+    n, density, seed, node_limit = data
+    rng = np.random.default_rng(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    budget = SolveBudget(node_limit=node_limit)
+    fast = _counted(lambda: solvers._sparse_mis(g.adj, n, _Budget(budget)))
+    slow = _counted(lambda: oracles._sparse_mis(g.adj, n, _Budget(budget)))
+    assert fast == slow  # same set, same exactness, same node count
+    nbrs = [list(iter_bits(m)) for m in g.adj]
+    assert solvers._greedy_sparse_mis(nbrs) == oracles._greedy_sparse_mis(
+        g.adj, (1 << n) - 1
+    )
+
+
+@pytest.mark.parametrize(
+    "p, seeds", [(0.006, (3, 5, 6)), (0.008, (2, 3)), (0.01, (1, 2))]
+)
+def test_sparse_kernel_matches_former_kernel_on_g12_samples(g12, p, seeds):
+    # seeds whose solves branch: exact after 7-63 nodes, or cut off at 1000
+    budget = SolveBudget(node_limit=1000)
+    for seed in seeds:
+        sub = sample_subgraph(g12, ModelParams(n=3, seed=seed, p_override=p)).to_graph()
+        fast = _counted(lambda: independence_number(sub, budget))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_sparse_mis", oracles._sparse_mis)
+            slow = _counted(lambda: independence_number(sub, budget))
+        assert fast == slow
+        if p == 0.01:
+            assert fast[1] == 1001 and not fast[0].exact
 
 
 # --- chromatic number ----------------------------------------------------
