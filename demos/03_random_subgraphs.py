@@ -15,9 +15,9 @@ import math
 
 from highgirth import (
     EdgeSubset,
+    EventSystem,
     ModelParams,
     build_base_graph,
-    dependency_graph,
     enumerate_cycle_events,
     enumerate_independent_set_events,
     log_probability,
@@ -51,13 +51,13 @@ print(f"{len(events)} subset events, induced edge counts {sizes}")
 # have probability 1 and no subgraph can avoid them.  They are flagged
 # and the system reports itself infeasible.
 pairs = enumerate_independent_set_events(g4, 2, p)
-system = dependency_graph(pairs)
+system = EventSystem.from_events(pairs)
 print("l=2: retained", len(system), "events,", len(system.unavoidable), "unavoidable ->",
       "feasible" if system.feasible else "infeasible")
 
 # Cycle events: the octahedron's 8 triangles, each with probability p^3.
 triangles = enumerate_cycle_events(g4, 3, p)
-system = dependency_graph(triangles)
+system = EventSystem.from_events(triangles)
 print(len(triangles), "triangle events; neighborhood sizes:",
       sorted({len(nb) for nb in system.neighbors}))
 print("disjoint edge sets never depend on each other:",

@@ -15,11 +15,11 @@ so that gamma lands inside its window ((2-delta)/(4-epsilon),
 """
 
 from highgirth import (
+    EventSystem,
     build_base_graph,
     check_bollobas_lll,
     check_general_lll,
     choose_parameters,
-    dependency_graph,
     enumerate_cycle_events,
     enumerate_independent_set_events,
     feasible_gamma_interval,
@@ -49,7 +49,7 @@ for delta in (1.2, 2.0):
 g4 = build_base_graph(1)
 p, f = 0.05, 0.01
 events = enumerate_independent_set_events(g4, 3, p) + enumerate_cycle_events(g4, 3, p)
-system = dependency_graph(events)
+system = EventSystem.from_events(events)
 deltas = recipe_multipliers(system.events, p, f)
 finite = verify_sys1_finite(system, p, f, deltas=deltas)
 print(
@@ -59,7 +59,7 @@ print(
 )
 
 # Cycle events alone are sparse enough to pass already at n = 1.
-cycles_only = dependency_graph(enumerate_cycle_events(g4, 3, p))
+cycles_only = EventSystem.from_events(enumerate_cycle_events(g4, 3, p))
 finite = verify_sys1_finite(cycles_only, p, f)
 print(
     f"cycles-only system: holds={finite.holds}, "

@@ -46,7 +46,6 @@ from .model import (
     ModelParams,
     build_event_system,
     cycle_blocks,
-    dependency_graph,
     derive_seed,
     enumerate_cycle_events,
     enumerate_independent_set_events,
@@ -97,7 +96,7 @@ __all__ = [
     "min_edges_over_subsets",
     # model
     "EventSpec", "EventSystem", "ModelParams", "build_event_system",
-    "cycle_blocks", "dependency_graph",
+    "cycle_blocks",
     "derive_seed", "enumerate_cycle_events",
     "enumerate_independent_set_events", "log_probability", "sample_subgraph",
     # lll

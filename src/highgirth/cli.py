@@ -75,11 +75,10 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _emit(doc: dict, args) -> None:
-    dump_json(doc, sys.stdout)
+def _emit(doc: dict, args, *files) -> None:
+    """Write ``doc`` to ``files``, stdout and ``--out``, from one encoding."""
     out = getattr(args, "out", None)
-    if out:
-        dump_json(doc, out)
+    dump_json(doc, *files, sys.stdout, *([out] if out else []))
 
 
 def _resolve_seed(args) -> int:
@@ -146,8 +145,7 @@ def cmd_sample(args) -> int:
         "edge_mask_hex": sub.mask_hex(),
         "dimacs": str(dimacs_path),
     }
-    dump_json(doc, out / f"{prefix}.json")
-    _emit(doc, args)
+    _emit(doc, args, out / f"{prefix}.json")
     return 0
 
 

@@ -1,14 +1,29 @@
-"""DIMACS edge-format and JSON serialization for graphs.
+"""DIMACS edge-format and JSON serialization.
 
 The DIMACS dialect used here: optional ``c`` comment lines, exactly one
 ``p edge N M`` problem line, then one ``e u v`` line per edge with
 1-indexed vertex ids.  Files written by this module list edges in
 canonical order, so write -> read -> write is byte-identical.
+
+Every JSON document the package writes goes through ``dump_json``: sorted
+keys, 2-space indent, ASCII-only escapes and a final newline, byte for
+byte the text of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``.
+The standard library falls back to its pure-Python generator whenever
+``indent`` is set.  ``dump_json`` instead builds each container's text
+with ``str.join`` and encodes lists a column at a time: a list of one
+scalar type maps to text in one call, and a list of dicts that share a
+key order (an event system's events) is filled in one key at a time from
+a row template, with the keys sorted once per shape.  It encodes a
+document once and writes that text to every target it is given.
 """
 
 from __future__ import annotations
 
-import json
+from contextlib import contextmanager
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from math import inf, isfinite
+from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
@@ -101,11 +116,205 @@ def write_vertex_json(g: BaseGraph, target: str | Path | IO[str]) -> None:
     dump_json(doc, target)
 
 
-def dump_json(doc, target: str | Path | IO[str]) -> None:
-    """Serialize ``doc`` deterministically (sorted keys, 2-space indent)."""
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)
-    else:
-        with open(target, "w") as fh:
-            fh.write(text)
+def dump_json(doc, *targets: str | Path | IO[str]) -> None:
+    """Encode ``doc`` once and write the text to each target, in order.
+
+    A target is a path (created or truncated) or an open text stream.  The
+    text equals ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``,
+    including its ``TypeError`` for values JSON cannot hold and its
+    ``ValueError`` for a container that contains itself.
+    """
+    if not targets:
+        raise TypeError("dump_json needs at least one target")
+    text = _encode(doc) + "\n"
+    for target in targets:
+        if hasattr(target, "write"):
+            target.write(text)
+        else:
+            with open(target, "w") as fh:
+                fh.write(text)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` turns it into a string, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+class _Newlines(dict):
+    """``newlines[d]``: a line break indented to depth d."""
+
+    def __missing__(self, depth: int) -> str:
+        text = self[depth] = "\n" + "  " * depth
+        return text
+
+
+def _scalar_text(xs):
+    """The text function for a sequence of one exact type of JSON scalar:
+    ``int``, ``str`` or finite ``float``; else None."""
+    kinds = set(map(type, xs))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is int:
+        return int.__repr__
+    if kind is str:
+        return encode_basestring_ascii
+    if kind is float and all(map(isfinite, xs)):
+        return float.__repr__
+    return None
+
+
+def _encode(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    A list is encoded a column at a time where it can be: scalars of one
+    type, lists of such scalars and dicts of one key order map straight to
+    text.  Anything else is encoded value by value in ``json``'s own order,
+    and a column that fails is encoded again that way, so the errors are
+    ``json``'s too.
+    """
+    newlines = _Newlines()
+    shapes = {}  # (key tuple, depth) -> (sorted keys, '"key": ' lines)
+    on_path = set()  # ids of the containers being encoded, against cycles
+
+    def value(x, depth: int) -> str:
+        t = type(x)
+        if t is str:
+            return encode_basestring_ascii(x)
+        if t is int:
+            return int.__repr__(x)
+        if t is float:
+            return float.__repr__(x) if isfinite(x) else _float_text(x)
+        if t is list or t is tuple:
+            return array(x, depth)
+        if t is dict:
+            return obj(x, depth)
+        # bool, None, subclasses and the rest, in the order ``json`` checks them
+        if isinstance(x, str):
+            return encode_basestring_ascii(x)
+        if x is None:
+            return "null"
+        if x is True:
+            return "true"
+        if x is False:
+            return "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, float):
+            return _float_text(x)
+        if isinstance(x, (list, tuple)):
+            return array(x, depth)
+        if isinstance(x, dict):
+            return obj(x, depth)
+        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
+
+    @contextmanager
+    def entered(containers):
+        """Mark ``containers`` as being encoded, for as long as they are."""
+        ids = set(map(id, containers))
+        if not on_path.isdisjoint(ids):
+            raise ValueError("Circular reference detected")
+        on_path.update(ids)
+        try:
+            yield
+        finally:
+            on_path.difference_update(ids)
+
+    def array(xs, depth: int) -> str:
+        if not xs:
+            return "[]"
+        with entered((xs,)):
+            if type(xs) is list or type(xs) is tuple:
+                items = ("," + newlines[depth + 1]).join(column(xs, depth + 1))
+            else:
+                items = ("," + newlines[depth + 1]).join([value(x, depth + 1) for x in xs])
+        return "".join(("[", newlines[depth + 1], items, newlines[depth], "]"))
+
+    def column(xs, depth: int):
+        """The texts of the items of a list or tuple, all at ``depth``."""
+        text = _scalar_text(xs)
+        if text is not None:
+            return map(text, xs)
+        kinds = set(map(type, xs))
+        if kinds == {dict}:
+            rows = table(xs, depth)
+            if rows is not None:
+                return rows
+        elif kinds <= {list, tuple} and all(xs):
+            text = _scalar_text(list(chain.from_iterable(xs)))
+            if text is not None:
+                inner = newlines[depth + 1]
+                brackets = "[" + inner + "{}" + newlines[depth] + "]"
+                return map(brackets.format, map(("," + inner).join, map(map, repeat(text), xs)))
+        return [value(x, depth) for x in xs]
+
+    def table(ds: list[dict], depth: int) -> list[str] | None:
+        """The texts of dicts that share one key order, built a key at a
+        time; None when they do not, or when a column fails."""
+        keys = tuple(ds[0])
+        if set(map(type, chain.from_iterable(ds))) != {str}:
+            return None
+        if not all(map(keys.__eq__, map(tuple, ds))):
+            return None
+        order, lines = shape(keys, depth)
+        try:
+            with entered(ds):
+                columns = [column(list(map(itemgetter(k), ds)), depth + 1) for k in order]
+                row = "{}".join(line.replace("{", "{{").replace("}", "}}") for line in lines)
+                return list(map((row + "{}" + newlines[depth] + "}}").format, *columns))
+        except (TypeError, ValueError):
+            return None
+
+    def shape(keys: tuple, depth: int) -> tuple[list[str], list[str]]:
+        """Sorted keys and their lines, for a key order of exact ``str`` keys."""
+        found = shapes.get((keys, depth))
+        if found is None:
+            order = sorted(keys)
+            found = shapes[keys, depth] = (order, _key_lines(order, newlines[depth + 1]))
+        return found
+
+    def obj(d, depth: int) -> str:
+        if not d:
+            return "{}"
+        with entered((d,)):
+            if type(d) is dict and set(map(type, d)) == {str}:
+                order, lines = shape(tuple(d), depth)
+                values = [value(d[k], depth + 1) for k in order]
+            else:
+                keys, values = [], []
+                for k, v in sorted(d.items()):
+                    keys.append(_key_text(k))
+                    values.append(value(v, depth + 1))
+                lines = _key_lines(keys, newlines[depth + 1])
+        return "".join([*chain.from_iterable(zip(lines, values)), newlines[depth], "}"])
+
+    return value(doc, 0)
+
+
+def _key_lines(keys: list[str], inner: str) -> list[str]:
+    """The text before each value of an object: brace or comma, newline, key."""
+    lines = ["," + inner + encode_basestring_ascii(k) + ": " for k in keys]
+    lines[0] = "{" + lines[0][1:]
+    return lines

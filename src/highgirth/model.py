@@ -502,8 +502,3 @@ def build_event_system(
     if l is not None:
         subsets = enumerate_independent_set_events(g, l, p, guard=guard)
     return EventBlocks(g, k, p, subsets)
-
-
-def dependency_graph(events: list[EventSpec]) -> EventSystem:
-    """Build the shared-edge dependency structure over enumerated events."""
-    return EventSystem.from_events(events)

@@ -112,16 +112,22 @@ class _Budget:
 def girth(view) -> SolveResult:
     """Length of the shortest cycle, with one shortest cycle as witness.
 
-    Runs a breadth-first search from every vertex; a non-tree edge seen at
-    depth d closes a walk of length dist(u) + dist(w) + 1 through the
-    root, and the minimum such walk over all roots is the girth.  Forests
-    report ``math.inf`` and no witness.
+    Every cycle lies in the 2-core, what is left after repeatedly deleting
+    vertices of degree <= 1, so the search runs there alone.  It runs a
+    breadth-first search from each core vertex in index order; a non-tree
+    edge seen at depth d closes a walk of length dist(u) + dist(w) + 1
+    through the root, and the minimum such walk over all roots is the
+    girth.  A search from a vertex outside the core could only close walks
+    that leave the root twice by its one edge towards the core, which
+    ``_reconstruct_cycle`` rejects, so skipping those roots keeps the same
+    witness.  Forests report ``math.inf`` and no witness.
     """
     g = as_graph(view)
     adj = g.adj
+    core = _two_core(adj)
     best: int | float = math.inf
     best_cycle: list[int] | None = None
-    for root in range(g.num_vertices):
+    for root in iter_bits(core):
         if best == 3:
             break
         dist = {root: 0}
@@ -134,7 +140,7 @@ def girth(view) -> SolveResult:
             du = dist[u]
             if 2 * du >= best:
                 continue
-            m = adj[u]
+            m = adj[u] & core
             while m:
                 low = m & -m
                 m ^= low
@@ -151,6 +157,23 @@ def girth(view) -> SolveResult:
                             best = length
                             best_cycle = cycle
     return SolveResult(value=best, exact=True, witness=best_cycle)
+
+
+def _two_core(adj: list[int]) -> int:
+    """Bitmask of the vertices left after repeatedly deleting those of degree <= 1."""
+    deg = [m.bit_count() for m in adj]
+    core = (1 << len(adj)) - 1
+    stack = [v for v, d in enumerate(deg) if d <= 1]
+    while stack:
+        v = stack.pop()
+        if not core >> v & 1:
+            continue
+        core ^= 1 << v
+        for w in iter_bits(adj[v] & core):
+            deg[w] -= 1
+            if deg[w] == 1:
+                stack.append(w)
+    return core
 
 
 def _reconstruct_cycle(parent: dict, u: int, w: int) -> list[int] | None:

@@ -10,7 +10,9 @@ references that must agree with them exactly.
 
 from itertools import combinations, permutations, product
 
-from highgirth.solvers import _Budget, _Exhausted
+import math
+
+from highgirth.solvers import SolveResult, _Budget, _Exhausted, _reconstruct_cycle, as_graph
 
 
 def edge_set(edges):
@@ -224,3 +226,52 @@ def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], boo
     except _Exhausted:
         exact = False
     return sorted(best), exact
+
+
+# Girth as it was before the search was confined to the 2-core: a
+# breadth-first search from every vertex.  The fast version must return
+# the same value and the same witness.
+
+
+def girth(view) -> SolveResult:
+    """Length of the shortest cycle, with one shortest cycle as witness.
+
+    Runs a breadth-first search from every vertex; a non-tree edge seen at
+    depth d closes a walk of length dist(u) + dist(w) + 1 through the
+    root, and the minimum such walk over all roots is the girth.  Forests
+    report ``math.inf`` and no witness.
+    """
+    g = as_graph(view)
+    adj = g.adj
+    best: int | float = math.inf
+    best_cycle: list[int] | None = None
+    for root in range(g.num_vertices):
+        if best == 3:
+            break
+        dist = {root: 0}
+        parent = {root: -1}
+        queue = [root]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            du = dist[u]
+            if 2 * du >= best:
+                continue
+            m = adj[u]
+            while m:
+                low = m & -m
+                m ^= low
+                w = low.bit_length() - 1
+                if w not in dist:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif parent[u] != w:
+                    length = du + dist[w] + 1
+                    if length < best:
+                        cycle = _reconstruct_cycle(parent, u, w)
+                        if cycle is not None:
+                            best = length
+                            best_cycle = cycle
+    return SolveResult(value=best, exact=True, witness=best_cycle)

@@ -15,6 +15,7 @@ import pytest
 
 from highgirth import (
     EdgeSubset,
+    EventSystem,
     GirthCertificate,
     Graph,
     ModelParams,
@@ -27,7 +28,6 @@ from highgirth import (
     count_cycles,
     deletion_method,
     dependency_count_bounds,
-    dependency_graph,
     embed_codimension,
     enumerate_cycle_events,
     enumerate_independent_set_events,
@@ -164,7 +164,7 @@ def test_criterion_06_product_bound_validated_by_monte_carlo(g4):
     with criterion(6, "Monte Carlo P(no bad event) >= product bound - 3 sigma"):
         p = 0.2
         events = enumerate_cycle_events(g4, 3, p)
-        system = dependency_graph(events)
+        system = EventSystem.from_events(events)
         gammas = [0.05] * len(system)
         report = check_general_lll(system.probabilities, system.neighbors, gammas)
         assert report.holds  # 0.008 <= 0.05 * 0.95^3
@@ -205,7 +205,7 @@ def test_criterion_08_dependency_bounds_dominate(g4):
         p = 0.1
         events = enumerate_independent_set_events(g4, 3, p)
         events += enumerate_cycle_events(g4, 3, p)
-        system = dependency_graph(events)
+        system = EventSystem.from_events(events)
         assert len(system) == 28
         on_subsets = dependency_count_bounds(1, 3, 3, 0).on_subsets
         for i, ev in enumerate(system.events):

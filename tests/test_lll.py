@@ -11,7 +11,6 @@ from highgirth import (
     choose_parameters,
     cycle_hypothesis_first_n,
     dependency_count_bounds,
-    dependency_graph,
     enumerate_cycle_events,
     enumerate_independent_set_events,
     feasible_gamma_interval,
@@ -147,7 +146,7 @@ def test_bounds_dominate_on_g4(g4):
     events = enumerate_independent_set_events(g4, 3, p) + enumerate_cycle_events(
         g4, 3, p
     )
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     on_x = dependency_count_bounds(1, 3, 3, 0).on_subsets
     for i, ev in enumerate(system.events):
         split = system.split_neighbors(i)
@@ -169,7 +168,7 @@ def test_quad_subset_touches_at_most_eight_triangles(g4):
     events = enumerate_independent_set_events(g4, 4, p) + enumerate_cycle_events(
         g4, 3, p
     )
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     idx = next(
         i for i, ev in enumerate(system.events) if ev.members == quad
     )
@@ -183,7 +182,7 @@ def test_bounds_dominate_on_g8(g8):
     events = enumerate_independent_set_events(g8, 2, p) + enumerate_cycle_events(
         g8, 3, p
     )
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     assert len(system.unavoidable) == 1155  # non-adjacent pairs
     assert len(system) == 1260 + 7560
     bounds_a1 = dependency_count_bounds(2, 3, 2, 1)
@@ -238,7 +237,7 @@ def test_sys1_on_g4_records_failure_at_desk_scale(g4):
     events = enumerate_independent_set_events(g4, 3, p) + enumerate_cycle_events(
         g4, 3, p
     )
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     report = verify_sys1_finite(system, p, f)
     assert len(report.margins) == 28
     assert not report.infeasible
@@ -254,7 +253,7 @@ def test_sys1_vacuous_and_infeasible(g4):
     report = verify_sys1_finite(empty, 0.3, 0.01)
     assert report.holds and report.margins == []
     events = enumerate_independent_set_events(g4, 2, 0.3)
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     report = verify_sys1_finite(system, 0.3, 0.01)
     assert report.infeasible
     assert not report.holds
@@ -265,7 +264,7 @@ def test_sys1_holds_on_a_sparse_synthetic_system(g4):
     # condition 1 >= sum holds comfortably and the log-form check agrees
     p = 0.05
     events = enumerate_cycle_events(g4, 3, p)
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     report = verify_sys1_finite(system, p, 0.01)
     assert report.holds
     assert report.log_form.holds
@@ -281,7 +280,7 @@ def test_sys1_margins_lower_bound_log_form_margins(g4):
     for p in (0.05, 0.2, 0.5):
         events = enumerate_independent_set_events(g4, 3, p)
         events += enumerate_cycle_events(g4, 3, p)
-        system = dependency_graph(events)
+        system = EventSystem.from_events(events)
         report = verify_sys1_finite(system, p, 0.01)
         assert report.log_form is not None
         for tight, loose in zip(report.margins, report.log_form.margins):
@@ -290,7 +289,7 @@ def test_sys1_margins_lower_bound_log_form_margins(g4):
 
 def test_sys1_custom_deltas_length_checked(g4):
     events = enumerate_cycle_events(g4, 3, 0.05)
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     with pytest.raises(ValueError):
         verify_sys1_finite(system, 0.05, 0.01, deltas=[1.0])
 
@@ -299,7 +298,7 @@ def test_measured_exponent_correction(g4):
     from highgirth import measured_exponent_correction
 
     events = enumerate_cycle_events(g4, 3, 0.1)
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     worst = max(len(system.neighbors[i]) for i in range(len(system)))
     # each triangle's 3 edges lie in one other triangle apiece, so the
     # coarse bound 2^{4n(s-2)} = 16 is slack by a factor of ~5

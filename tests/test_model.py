@@ -14,7 +14,6 @@ from highgirth import (
     SizeGuardError,
     build_event_system,
     cycle_blocks,
-    dependency_graph,
     derive_seed,
     enumerate_cycle_events,
     enumerate_cycles,
@@ -262,7 +261,7 @@ def test_cycle_events_on_synthetic_graphs(g4):
 def test_dependency_is_shared_edge(g4):
     p = 0.3
     triangles = enumerate_cycle_events(g4, 3, p)
-    system = dependency_graph(triangles)
+    system = EventSystem.from_events(triangles)
     for i, ev in enumerate(system.events):
         for j in system.neighbors[i]:
             assert set(ev.variable_set) & set(system.events[j].variable_set)
@@ -279,7 +278,7 @@ def test_disjoint_triangles_are_independent(g4):
             if not set(a.variable_set) & set(events[j].variable_set):
                 antipodal.append((i, j))
     assert antipodal  # the octahedron has edge-disjoint triangle pairs
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     i, j = antipodal[0]
     assert j not in system.neighbors[i]
 
@@ -289,7 +288,7 @@ def test_mixed_system_dependencies_match_brute_force(g4):
     events = enumerate_independent_set_events(g4, 3, p) + enumerate_cycle_events(
         g4, 3, p
     )
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     assert len(system) == 28
     assert system.feasible
     for i in range(len(system)):
@@ -311,7 +310,7 @@ def test_mixed_system_dependencies_match_brute_force(g4):
 
 def test_system_excludes_unavoidable(g4):
     events = enumerate_independent_set_events(g4, 2, 0.3)
-    system = dependency_graph(events)
+    system = EventSystem.from_events(events)
     assert len(system) == 12
     assert len(system.unavoidable) == 3
     assert not system.feasible

@@ -1,0 +1,71 @@
+"""Pinned bytes of the public JSON outputs.
+
+Each digest is the SHA-256 of a command's output as the package wrote it
+before the JSON encoder was replaced, so any later change to encoding or
+to the numbers has to show byte identity here, not just claim it.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from highgirth.cli import main
+
+DIGESTS = {
+    "events --n 1 --l 3 --k 4 --p 0.05":
+        "faeefdec84758b947443aa44d8e5d4c29d67e55b82806e10378b5bfca30110c1",
+    "events --n 2 --k 3 --p 0.05":
+        "93bb4f8d4793c2b31bc9c0cfefd33653b0dd631c2c6c2bc53119ea87b8c82079",
+    "lll-check --recipe-multipliers --f 0.01":
+        "18b0814f2347bada38749fcc2236d48ff9bb7bdec1ea96176d2a6ca074d8b589",
+    "gen --n 1 (vertex JSON)":
+        "422eaf6d9bf8a913c26120438b6d3253b88cac01f8147676f01ffb52d9f51233",
+    "search --n 2 --k 4 --p 0.5 --seed 0 --method delete":
+        "a78c6fe75f03967fa1919a0db65d694201865037c6e1a247efed0b0c249c1678",
+    "certify (the deletion certificate)":
+        "0a7371ac9ccb4c2d04fe56fad1e01ed14f1b38c22d79e8e75c70da18730af656",
+    "params --k 4 --delta 0.5":
+        "a1e4d9e1386bf622b29a300ad09ec625ff3675dc49ab70cf075a04e7d1a14f66",
+    "scan --delta 0.5":
+        "6c2e6bdbf3feef7a1bb52f99eb8cd7001a086055634b6bc557ea94311717f5f6",
+}
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture()
+def run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def run(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    return run
+
+
+def test_public_outputs_are_byte_identical(run, tmp_path):
+    got = {}
+    got["events --n 1 --l 3 --k 4 --p 0.05"] = run(
+        "events", "--n", "1", "--l", "3", "--k", "4", "--p", "0.05"
+    )
+    events = run("events", "--n", "2", "--k", "3", "--p", "0.05", "--out", "ev.json")
+    assert (tmp_path / "ev.json").read_text() == events
+    got["events --n 2 --k 3 --p 0.05"] = events
+    got["lll-check --recipe-multipliers --f 0.01"] = run(
+        "lll-check", "--events", "ev.json", "--recipe-multipliers", "--f", "0.01"
+    )
+    run("gen", "--n", "1")
+    got["gen --n 1 (vertex JSON)"] = (tmp_path / "g4.vertices.json").read_text()
+    cert = run("search", "--n", "2", "--k", "4", "--p", "0.5", "--seed", "0", "--method", "delete")
+    got["search --n 2 --k 4 --p 0.5 --seed 0 --method delete"] = cert
+    doc = json.loads(cert)
+    got["certify (the deletion certificate)"] = run(
+        "certify", "--n", "2", "--mask-hex", doc["edge_mask_hex"], "--k", "4", "--l", str(doc["l"])
+    )
+    got["params --k 4 --delta 0.5"] = run("params", "--k", "4", "--delta", "0.5")
+    got["scan --delta 0.5"] = run("scan", "--delta", "0.5")
+    assert {name: digest(text) for name, text in got.items()} == DIGESTS

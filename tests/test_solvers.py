@@ -25,6 +25,7 @@ from highgirth import (
 from highgirth import solvers
 from highgirth.graphs import iter_bits
 from highgirth.model import ModelParams, sample_subgraph
+from highgirth.search import deletion_method
 from highgirth.solvers import (
     _Budget,
     iter_cycles,
@@ -140,6 +141,45 @@ def test_girth_matches_oracle(data):
     if res.value != math.inf:
         assert verify_cycle(g, res.witness)
         assert len(res.witness) == res.value
+
+
+@st.composite
+def graphs_with_pendant_trees(draw):
+    """A random graph with trees hung on it, labels shuffled: forests too."""
+    core_n = draw(st.integers(min_value=1, max_value=12))
+    pairs = list(combinations(range(core_n), 2))
+    edges = list(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    n = core_n + draw(st.integers(min_value=0, max_value=12))
+    for v in range(core_n, n):
+        if draw(st.booleans()):  # hang v below an earlier vertex, or start a new tree
+            edges.append((draw(st.integers(min_value=0, max_value=v - 1)), v))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+
+
+@given(graphs_with_pendant_trees())
+@settings(max_examples=150, deadline=None)
+def test_girth_matches_former_girth(g):
+    assert girth(g) == oracles.girth(g)
+
+
+def test_girth_matches_former_girth_on_g12_certified_subgraphs(g12):
+    # deletion leaves girth > 4, so every core root is searched
+    for seed in (1, 2, 3):
+        cert = deletion_method(g12, ModelParams(n=3, seed=seed, p_override=0.006), 4)
+        sub = EdgeSubset.from_hex(g12, cert.edge_mask_hex).to_graph()
+        res = girth(sub)
+        assert res == oracles.girth(sub)
+        assert res.value > 4 and verify_cycle(sub, res.witness)
+        assert solvers._two_core(sub.adj) != (1 << sub.num_vertices) - 1
+
+
+def test_two_core():
+    # a triangle with a path hung on it, and a separate edge
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6)])
+    assert solvers._two_core(g.adj) == 0b111
+    assert solvers._two_core(path_graph(5).adj) == 0
+    assert solvers._two_core(cycle_graph(5).adj) == 0b11111
 
 
 # --- cycle counting ------------------------------------------------------
