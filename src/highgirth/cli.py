@@ -15,9 +15,11 @@ output directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -88,9 +90,15 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _model_params(args, n: int) -> ModelParams:
+def _edge_probability(args, n: int) -> float:
+    """``--p`` if given, else ``--gamma ** (4n)``; one of the two is required."""
     if args.p is None and args.gamma is None:
         raise _UsageError("one of --gamma or --p is required")
+    return args.p if args.p is not None else args.gamma ** (4 * n)
+
+
+def _model_params(args, n: int) -> ModelParams:
+    _edge_probability(args, n)
     return ModelParams(n=n, gamma=args.gamma, seed=_resolve_seed(args), p_override=args.p)
 
 
@@ -151,9 +159,7 @@ def cmd_sample(args) -> int:
 
 def cmd_events(args) -> int:
     g = build_base_graph(args.n, allow_large=args.allow_large)
-    if args.p is None and args.gamma is None:
-        raise _UsageError("one of --gamma or --p is required")
-    p = args.p if args.p is not None else args.gamma ** (4 * args.n)
+    p = _edge_probability(args, args.n)
     system = build_event_system(g, args.k, args.l, p).to_system()
     doc = {"n": args.n, "p": p, "l": args.l, "k": args.k, **system.to_json()}
     _emit(doc, args)
@@ -266,26 +272,17 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def _search_once(job: dict):
+def _search_once(args, seed: int) -> GirthCertificate | SearchFailure:
     """One search restart; module-level so process pools can run it."""
-    g = build_base_graph(job["n"], allow_large=job["allow_large"])
-    params = ModelParams(
-        n=job["n"], gamma=job["gamma"], seed=job["seed"],
-        p_override=job["p"],
-    )
-    budget = SolveBudget(job["node_limit"], job["time_limit"])
-    if job["method"] == "delete":
-        try:
-            return deletion_method(g, params, job["k"], alpha_budget=budget)
-        except CertificationError as exc:
-            return SearchFailure(
-                reason=str(exc), n=job["n"], k=job["k"], l=0, seed=job["seed"]
-            )
+    g = build_base_graph(args.n, allow_large=args.allow_large)
+    params = ModelParams(n=args.n, gamma=args.gamma, seed=seed, p_override=args.p)
+    if args.method == "delete":
+        return deletion_method(g, params, args.k, alpha_budget=_budget(args))
     return moser_tardos_search(
-        g, params, job["k"], job["l"],
-        max_resamples=job["max_resamples"],
-        subset_events=job["subset_events"],
-        alpha_budget=budget,
+        g, params, args.k, args.l,
+        max_resamples=args.max_resamples,
+        subset_events={"auto": "auto", "on": True, "off": False}[args.subset_events],
+        alpha_budget=_budget(args),
     )
 
 
@@ -298,35 +295,23 @@ def _worker_count(jobs: int, restarts: int) -> int:
 def cmd_search(args) -> int:
     if args.method == "mt" and args.l is None:
         raise _UsageError("--l is required for the mt method")
-    if args.p is None and args.gamma is None:
-        raise _UsageError("one of --gamma or --p is required")
+    _edge_probability(args, args.n)
     base_seed = _resolve_seed(args)
-    subset_mode = {"auto": "auto", "on": True, "off": False}[args.subset_events]
-    jobs = []
-    for replica in range(max(args.restarts, 1)):
-        seed = base_seed if replica == 0 else derive_seed(base_seed, replica)
-        jobs.append({
-            "n": args.n, "k": args.k, "l": args.l, "gamma": args.gamma,
-            "p": args.p, "seed": seed, "method": args.method,
-            "max_resamples": args.max_resamples, "subset_events": subset_mode,
-            "allow_large": args.allow_large,
-            "node_limit": args.node_limit, "time_limit": args.time_limit,
-        })
-    workers = _worker_count(args.jobs, len(jobs))
+    seeds = [base_seed] + [derive_seed(base_seed, r) for r in range(1, args.restarts)]
+    search = partial(_search_once, args)
+    workers = _worker_count(args.jobs, len(seeds))
     if workers > 1:
-        # run every restart, then keep the first certificate in seed order:
-        # the winner is independent of scheduling
+        # a pool runs every restart, but its results still come back in seed
+        # order: the winner is independent of scheduling
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_search_once, jobs))
-        outcome = next(
-            (o for o in outcomes if isinstance(o, GirthCertificate)), outcomes[-1]
-        )
+        runner = ProcessPoolExecutor(max_workers=workers)
+        outcomes = runner.map(search, seeds)
     else:
-        outcome = None
-        for job in jobs:
-            outcome = _search_once(job)
+        runner = contextlib.nullcontext()
+        outcomes = map(search, seeds)
+    with runner:
+        for outcome in outcomes:
             if isinstance(outcome, GirthCertificate):
                 break
     _emit(outcome.to_json(), args)

@@ -10,6 +10,11 @@ delta_i P(A_i)`` reduces it to the general style, and
 
 All comparisons report signed margins (condition LHS minus RHS) and apply
 a configurable absolute tolerance, so boundary cases stay visible.
+
+Every neighbour sum or product goes through one kernel, ``_gather``, over
+a per-event column computed once.  ``sum`` and ``math.prod`` fold it left
+to right on Python 3.11, as the former pair-by-pair loops did, so every
+margin stays the same float, bit for bit.
 """
 
 from __future__ import annotations
@@ -83,18 +88,16 @@ def check_general_lll(
     for i, g in enumerate(gammas):
         if not 0 < g < 1:
             raise ValueError(f"gamma[{i}] = {g} outside (0, 1)")
-    margins = []
-    for i, p in enumerate(probs):
-        rhs = gammas[i]
-        for j in neighbors[i]:
-            rhs *= 1 - gammas[j]
-        margins.append(rhs - p)
-    bound = math.prod(1 - g for g in gammas)
+    complements = [1 - g for g in gammas]
+    margins = [
+        math.prod(factors, start=g) - p
+        for g, p, factors in zip(gammas, probs, _gather(complements, neighbors))
+    ]
     return CheckReport(
         style="general",
         holds=all(m >= -tol for m in margins),
         margins=margins,
-        product_bound=bound,
+        product_bound=math.prod(complements),
         hypothesis_violations=[],
     )
 
@@ -112,16 +115,11 @@ def check_bollobas_lll(
     holds, ``prod (1 - delta_i P(A_i))`` bounds P(no event) from below.
     """
     _check_lengths(probs, neighbors, deltas)
-    violations = []
     for i, d in enumerate(deltas):
         if d <= 0:
             raise ValueError(f"delta[{i}] = {d} must be positive")
-        if not 0 < d * probs[i] < HYPOTHESIS_CAP:
-            violations.append(i)
-    margins = []
-    for i in range(len(probs)):
-        rhs = sum(2 * deltas[j] * probs[j] for j in neighbors[i])
-        margins.append(math.log(deltas[i]) - rhs)
+    violations = _hypothesis_violations(deltas, probs)
+    margins = _log_margins(deltas, probs, neighbors)
     bound = math.prod(1 - d * p for d, p in zip(deltas, probs))
     return CheckReport(
         style="bollobas",
@@ -159,6 +157,24 @@ def _check_lengths(probs, neighbors, multipliers):
     for i, p in enumerate(probs):
         if not 0 <= p <= 1:
             raise ValueError(f"probability[{i}] = {p} outside [0, 1]")
+
+
+def _gather(values, neighbors):
+    """Per event i, ``values[j]`` for each neighbour j, in N(i) order."""
+    get = values.__getitem__
+    return (map(get, nbrs) for nbrs in neighbors)
+
+
+def _log_margins(deltas, weights, neighbors) -> list[float]:
+    """``ln delta_i - sum_{j in N(i)} 2 delta_j w_j`` for every event i."""
+    terms = [2 * d * w for d, w in zip(deltas, weights)]
+    return [math.log(d) - sum(t) for d, t in zip(deltas, _gather(terms, neighbors))]
+
+
+def _hypothesis_violations(deltas, probs) -> list[int]:
+    """Events breaking the log-form hypothesis ``0 < delta_i P(A_i) < 0.69``."""
+    pairs = enumerate(zip(deltas, probs))
+    return [i for i, (d, p) in pairs if not 0 < d * p < HYPOTHESIS_CAP]
 
 
 @dataclass(frozen=True)
@@ -291,30 +307,23 @@ def verify_sys1_finite(
         raise ValueError(
             f"{len(deltas)} multipliers for {len(system.events)} events"
         )
-    margins = []
-    for i, ev in enumerate(system.events):
-        rhs = 0.0
-        for j in system.neighbors[i]:
-            other = system.events[j]
-            if other.kind == KIND_INDEPENDENT_SET:
-                rhs += 2 * deltas[j] * math.exp(-p * len(other.variable_set))
-            else:
-                rhs += 2 * deltas[j] * p**other.meta
-        margins.append(math.log(deltas[i]) - rhs)
-    violations = [
-        i
-        for i, ev in enumerate(system.events)
-        if not 0 < deltas[i] * ev.probability < HYPOTHESIS_CAP
+    weights = [  # exp(-p a_j) for a subset event, p^s_j for an s-cycle
+        math.exp(-p * len(ev.variable_set)) if ev.kind == KIND_INDEPENDENT_SET
+        else p**ev.meta
+        for ev in system.events
     ]
+    # one neighbourhood read per event: bench/test_bench.py counts them
+    neighbors = (system.neighbors[i] for i in range(len(deltas)))
+    margins = _log_margins(deltas, weights, neighbors)
+    probs = system.probabilities
+    violations = _hypothesis_violations(deltas, probs)
     infeasible = not system.feasible
     holds = (
         not infeasible and not violations and all(m >= -tol for m in margins)
     )
     log_form = None
     if not infeasible and system.events:
-        log_form = check_bollobas_lll(
-            system.probabilities, system.neighbors, deltas, tol=tol
-        )
+        log_form = check_bollobas_lll(probs, system.neighbors, deltas, tol=tol)
     return FiniteSystemReport(
         margins=margins,
         holds=holds,

@@ -37,7 +37,7 @@ from math import comb
 
 import numpy as np
 
-from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
+from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError
 
 KIND_INDEPENDENT_SET = "independent_set"
 KIND_CYCLE = "cycle"
@@ -199,15 +199,9 @@ def enumerate_independent_set_events(
     eid = _edge_id_matrix(g).tolist()
     events = []
     for subset in combinations(range(nv), l):
-        mask = 0
-        for v in subset:
-            mask |= 1 << v
-        edge_ids = []
-        for v in subset:
-            for w in iter_bits(g.adj[v] & mask):
-                if w > v:
-                    edge_ids.append(eid[v][w])
-        edge_ids.sort()
+        # a sorted subset's pairs come out in lexicographic order, which is
+        # the canonical edge order, so the ids already ascend
+        edge_ids = [e for u, v in combinations(subset, 2) if (e := eid[u][v]) >= 0]
         events.append(
             EventSpec(
                 kind=KIND_INDEPENDENT_SET,

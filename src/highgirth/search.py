@@ -358,7 +358,7 @@ def deletion_method(
     params: ModelParams,
     k: int,
     alpha_budget: SolveBudget | None = None,
-) -> GirthCertificate:
+) -> GirthCertificate | SearchFailure:
     """Sample once, then delete one edge per short cycle until girth > k.
 
     Cycles are destroyed shortest first; each round removes the smallest
@@ -367,7 +367,8 @@ def deletion_method(
     independence number becomes the certificate's bound l; that one exact
     solve both picks l and certifies it, together with a girth check of the
     same graph.  Terminates unconditionally: every deletion kills at least
-    one short cycle.
+    one short cycle.  An exhausted alpha budget or a refused certification
+    comes back as a ``SearchFailure`` with l = 0.
     """
     sub = sample_subgraph(g, params)
     adj = [0] * g.num_vertices
@@ -394,14 +395,18 @@ def deletion_method(
     final = EdgeSubset(g, mask)
     graph = final.to_graph()
     alpha_result = independence_number(graph, alpha_budget)
-    if not alpha_result.exact:
-        raise CertificationError(
-            "independence solve exhausted its budget; cannot pick a "
-            "certified bound l"
+    try:
+        if not alpha_result.exact:
+            raise CertificationError(
+                "independence solve exhausted its budget; cannot pick a "
+                "certified bound l"
+            )
+        return _certificate(
+            final, k, int(alpha_result.value), _girth_above(graph, k),
+            alpha_result, seed=params.seed, gamma=params.gamma, p=params.p,
         )
-    return _certificate(
-        final, k, int(alpha_result.value), _girth_above(graph, k), alpha_result,
-        seed=params.seed, gamma=params.gamma, p=params.p,
-    )
-
-
+    except CertificationError as exc:
+        return SearchFailure(
+            reason=exc.reason, n=g.n, k=k, l=0, seed=params.seed,
+            witness=exc.witness,
+        )

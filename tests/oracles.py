@@ -11,7 +11,25 @@ references that must agree with them exactly.
 from itertools import combinations, permutations, product
 
 import math
+from math import comb
+from typing import Sequence
 
+from highgirth.graphs import BaseGraph, SizeGuardError, iter_bits
+from highgirth.lll import (
+    DEFAULT_TOL,
+    HYPOTHESIS_CAP,
+    CheckReport,
+    FiniteSystemReport,
+    _check_lengths,
+    recipe_multipliers,
+)
+from highgirth.model import (
+    EVENT_ENUMERATION_GUARD,
+    KIND_INDEPENDENT_SET,
+    EventSpec,
+    EventSystem,
+    _edge_id_matrix,
+)
 from highgirth.solvers import SolveResult, _Budget, _Exhausted, _reconstruct_cycle, as_graph
 
 
@@ -275,3 +293,176 @@ def girth(view) -> SolveResult:
                             best = length
                             best_cycle = cycle
     return SolveResult(value=best, exact=True, witness=best_cycle)
+
+
+# The Local Lemma checkers as they were before one neighbour-sum kernel
+# served all three: a hand-written loop per checker, and in
+# ``verify_sys1_finite`` each neighbour's bound recomputed per pair.  Same
+# float operations in the same order; the kernel must match them bit for
+# bit.
+
+
+def check_general_lll(
+    probs: Sequence[float],
+    neighbors: Sequence[Sequence[int]],
+    gammas: Sequence[float],
+    tol: float = DEFAULT_TOL,
+) -> CheckReport:
+    """Verify the general local-lemma condition for every event.
+
+    Margin for event i: ``gamma_i * prod_{j in J(i)} (1 - gamma_j) -
+    P(A_i)``.  When all margins clear ``-tol`` the product ``prod (1 -
+    gamma_i)`` lower-bounds the probability that no event occurs.
+    """
+    _check_lengths(probs, neighbors, gammas)
+    for i, g in enumerate(gammas):
+        if not 0 < g < 1:
+            raise ValueError(f"gamma[{i}] = {g} outside (0, 1)")
+    margins = []
+    for i, p in enumerate(probs):
+        rhs = gammas[i]
+        for j in neighbors[i]:
+            rhs *= 1 - gammas[j]
+        margins.append(rhs - p)
+    bound = math.prod(1 - g for g in gammas)
+    return CheckReport(
+        style="general",
+        holds=all(m >= -tol for m in margins),
+        margins=margins,
+        product_bound=bound,
+        hypothesis_violations=[],
+    )
+
+
+def check_bollobas_lll(
+    probs: Sequence[float],
+    neighbors: Sequence[Sequence[int]],
+    deltas: Sequence[float],
+    tol: float = DEFAULT_TOL,
+) -> CheckReport:
+    """Verify the log-form condition ``ln delta_i >= sum 2 delta_j P(A_j)``.
+
+    Events violating the hypothesis ``0 < delta_i P(A_i) < 0.69`` are
+    reported per index; the check cannot hold while any exist.  When it
+    holds, ``prod (1 - delta_i P(A_i))`` bounds P(no event) from below.
+    """
+    _check_lengths(probs, neighbors, deltas)
+    violations = []
+    for i, d in enumerate(deltas):
+        if d <= 0:
+            raise ValueError(f"delta[{i}] = {d} must be positive")
+        if not 0 < d * probs[i] < HYPOTHESIS_CAP:
+            violations.append(i)
+    margins = []
+    for i in range(len(probs)):
+        rhs = sum(2 * deltas[j] * probs[j] for j in neighbors[i])
+        margins.append(math.log(deltas[i]) - rhs)
+    bound = math.prod(1 - d * p for d, p in zip(deltas, probs))
+    return CheckReport(
+        style="bollobas",
+        holds=not violations and all(m >= -tol for m in margins),
+        margins=margins,
+        product_bound=bound,
+        hypothesis_violations=violations,
+    )
+
+
+def verify_sys1_finite(
+    system: EventSystem,
+    p: float,
+    f: float,
+    deltas: Sequence[float] | None = None,
+    tol: float = DEFAULT_TOL,
+) -> FiniteSystemReport:
+    """Evaluate the multiplier condition exactly on an enumerated system.
+
+    Uses the recipe multipliers unless ``deltas`` is supplied.  Margins
+    are LHS - RHS per event; the report also carries the 0.69-hypothesis
+    status on exact probabilities and, when everything passes, the direct
+    log-form check with its product bound.
+    """
+    if deltas is None:
+        deltas = recipe_multipliers(system.events, p, f)
+    deltas = list(deltas)
+    if len(deltas) != len(system.events):
+        raise ValueError(
+            f"{len(deltas)} multipliers for {len(system.events)} events"
+        )
+    margins = []
+    for i, ev in enumerate(system.events):
+        rhs = 0.0
+        for j in system.neighbors[i]:
+            other = system.events[j]
+            if other.kind == KIND_INDEPENDENT_SET:
+                rhs += 2 * deltas[j] * math.exp(-p * len(other.variable_set))
+            else:
+                rhs += 2 * deltas[j] * p**other.meta
+        margins.append(math.log(deltas[i]) - rhs)
+    violations = [
+        i
+        for i, ev in enumerate(system.events)
+        if not 0 < deltas[i] * ev.probability < HYPOTHESIS_CAP
+    ]
+    infeasible = not system.feasible
+    holds = (
+        not infeasible and not violations and all(m >= -tol for m in margins)
+    )
+    log_form = None
+    if not infeasible and system.events:
+        log_form = check_bollobas_lll(
+            system.probabilities, system.neighbors, deltas, tol=tol
+        )
+    return FiniteSystemReport(
+        margins=margins,
+        holds=holds,
+        infeasible=infeasible,
+        hypothesis_violations=violations,
+        log_form=log_form,
+    )
+
+
+# Subset events as they were built before the edge ids were read off the
+# dense edge-id matrix pair by pair: a vertex bitmask per subset, an
+# ``iter_bits`` walk per member and a sort.
+
+
+def enumerate_independent_set_events(
+    g: BaseGraph, l: int, p: float, guard: int = EVENT_ENUMERATION_GUARD
+) -> list[EventSpec]:
+    """One event per l-element vertex subset, in combinations order.
+
+    Each event's edge set is the base edges inside the subset; subsets
+    spanning no base edge come out with probability 1 (flagged by
+    ``EventSpec.unavoidable``) and make any avoidance argument infeasible,
+    which happens exactly when l is at most the base independence number.
+    """
+    nv = g.num_vertices
+    if not 1 <= l <= nv:
+        raise ValueError(f"subset size {l} outside [1, {nv}]")
+    total = comb(nv, l)
+    if total > guard:
+        raise SizeGuardError(
+            f"C({nv}, {l}) = {total} subsets exceed the enumeration guard {guard}"
+        )
+    eid = _edge_id_matrix(g).tolist()
+    events = []
+    for subset in combinations(range(nv), l):
+        mask = 0
+        for v in subset:
+            mask |= 1 << v
+        edge_ids = []
+        for v in subset:
+            for w in iter_bits(g.adj[v] & mask):
+                if w > v:
+                    edge_ids.append(eid[v][w])
+        edge_ids.sort()
+        events.append(
+            EventSpec(
+                kind=KIND_INDEPENDENT_SET,
+                variable_set=tuple(edge_ids),
+                meta=l,
+                probability=(1 - p) ** len(edge_ids),
+                members=subset,
+            )
+        )
+    return events

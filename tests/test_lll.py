@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from highgirth import (
     EventSystem,
@@ -18,7 +20,9 @@ from highgirth import (
     verify_exponent_condition,
     verify_sys1_finite,
 )
-from highgirth.model import KIND_CYCLE, KIND_INDEPENDENT_SET
+from highgirth.model import KIND_CYCLE, KIND_INDEPENDENT_SET, EventSpec
+
+import oracles
 
 # mpmath-derived reference values (40 significant digits, rounded)
 INTERVAL_K3 = (0.633333333333, 0.705876372843)
@@ -430,3 +434,100 @@ def test_parameters_validate_rejects_out_of_window():
     assert not bad.is_valid()
     bad_low = replace(params, gamma=min(0.01, params.interval().lower / 2))
     assert not bad_low.is_valid()
+
+
+# --- the neighbour-sum kernel against the former per-checker loops ----------
+
+
+def margin_bits(report):
+    """Margins and product bound as exact bit patterns."""
+    return [float(m).hex() for m in report.margins], float(report.product_bound).hex()
+
+
+def assert_checkers_match_oracles(system, p, f, deltas, gammas):
+    probs, nbrs = system.probabilities, system.neighbors
+    fast = check_general_lll(probs, nbrs, gammas)
+    slow = oracles.check_general_lll(probs, nbrs, gammas)
+    assert fast == slow and margin_bits(fast) == margin_bits(slow)
+    fast = check_bollobas_lll(probs, nbrs, deltas)
+    slow = oracles.check_bollobas_lll(probs, nbrs, deltas)
+    assert fast == slow and margin_bits(fast) == margin_bits(slow)
+    for ds in (deltas, None):  # explicit multipliers, then the recipe
+        fast = verify_sys1_finite(system, p, f, ds)
+        slow = oracles.verify_sys1_finite(system, p, f, ds)
+        assert fast == slow
+        assert [m.hex() for m in fast.margins] == [m.hex() for m in slow.margins]
+        if fast.log_form is not None:
+            assert margin_bits(fast.log_form) == margin_bits(slow.log_form)
+
+
+@st.composite
+def event_systems(draw):
+    """Mixed subset and cycle events over a few edges, with multipliers.
+
+    Subset events may span no edge (unavoidable: an infeasible system),
+    events may share no edge (empty neighbourhoods), and the multipliers
+    put ``delta_i P(A_i)`` on both sides of the 0.69 cap.
+    """
+    p = draw(st.floats(min_value=0.01, max_value=0.99))
+    edge_sets = st.sets(st.integers(min_value=0, max_value=11), max_size=5)
+    events = []
+    for _ in range(draw(st.integers(min_value=0, max_value=14))):
+        ids = tuple(sorted(draw(edge_sets)))
+        if ids and draw(st.booleans()):
+            s = draw(st.integers(min_value=3, max_value=6))
+            events.append(EventSpec(KIND_CYCLE, ids, s, p**s, ()))
+        else:
+            events.append(
+                EventSpec(KIND_INDEPENDENT_SET, ids, 3, (1 - p) ** len(ids), ())
+            )
+    system = EventSystem.from_events(events)
+    size = len(system.events)
+    deltas = draw(st.lists(
+        st.floats(min_value=0.05, max_value=40.0), min_size=size, max_size=size
+    ))
+    gammas = draw(st.lists(
+        st.floats(min_value=1e-6, max_value=0.999, exclude_max=True),
+        min_size=size, max_size=size,
+    ))
+    return system, p, draw(st.floats(min_value=0.01, max_value=1.0)), deltas, gammas
+
+
+@given(event_systems())
+@settings(max_examples=150, deadline=None)
+def test_checkers_match_former_loops_on_random_systems(case):
+    system, p, f, deltas, gammas = case
+    assert_checkers_match_oracles(system, p, f, deltas, gammas)
+
+
+def test_checkers_match_former_loops_across_the_cap():
+    system = EventSystem.from_events([
+        EventSpec(KIND_CYCLE, (0, 1, 2), 3, 0.5**3, ()),
+        EventSpec(KIND_INDEPENDENT_SET, (2, 3), 3, 0.25, ()),
+        EventSpec(KIND_INDEPENDENT_SET, (7,), 3, 0.5, ()),
+    ])
+    deltas = [2.0, 3.0, 1.38]  # delta * P: 0.25, 0.75 (over the cap), 0.69 (at it)
+    assert system.neighbors == [[1], [0], []]
+    report = verify_sys1_finite(system, 0.5, 0.1, deltas)
+    assert report.hypothesis_violations == [1, 2]
+    assert_checkers_match_oracles(system, 0.5, 0.1, deltas, [0.2, 0.3, 0.4])
+
+
+def test_checkers_match_former_loops_on_g8_cycles(g8):
+    system = EventSystem.from_events(enumerate_cycle_events(g8, 3, 0.05))
+    size = len(system)
+    deltas = [1.5 + (i % 7) * 0.1 for i in range(size)]
+    gammas = [0.001 + (i % 5) * 0.0002 for i in range(size)]
+    assert_checkers_match_oracles(system, 0.05, 0.01, deltas, gammas)
+
+
+def test_checkers_match_former_loops_on_the_mixed_g4_system(g4):
+    p = 0.05
+    system = EventSystem.from_events(
+        enumerate_independent_set_events(g4, 3, p) + enumerate_cycle_events(g4, 4, p)
+    )
+    assert system.feasible
+    size = len(system)
+    deltas = [1.1 + 0.01 * (i % 13) for i in range(size)]
+    gammas = [0.01 + 0.001 * (i % 11) for i in range(size)]
+    assert_checkers_match_oracles(system, p, 0.01, deltas, gammas)

@@ -25,6 +25,7 @@ from highgirth import model
 from highgirth.model import KIND_CYCLE, KIND_INDEPENDENT_SET, EventSpec, ModelParams
 from highgirth.solvers import cycle_edges
 
+import oracles
 from oracles import occurring_events
 
 
@@ -424,3 +425,33 @@ def test_build_event_system_subset_events(g4, g8):
     empty = build_event_system(g4, 2, None, p)
     assert len(empty) == 0
     assert empty.occurring(np.ones(g4.num_edges, dtype=bool)).shape == (0,)
+
+
+def subset_events_or_error(fn, g, l):
+    try:
+        return fn(g, l, 0.3)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("l", range(1, 9))
+def test_subset_events_match_the_bitmask_walk_on_g4(g4, l):
+    fast = subset_events_or_error(enumerate_independent_set_events, g4, l)
+    slow = subset_events_or_error(oracles.enumerate_independent_set_events, g4, l)
+    assert fast == slow
+    assert isinstance(fast, str) == (l > g4.num_vertices)
+
+
+def test_subset_events_match_the_bitmask_walk_on_g8(g8):
+    fast = enumerate_independent_set_events(g8, 3, 0.05)
+    assert fast == oracles.enumerate_independent_set_events(g8, 3, 0.05)
+    assert all(list(ev.variable_set) == sorted(ev.variable_set) for ev in fast)
+
+
+@given(small_graphs, st.integers(min_value=1, max_value=8))
+@settings(max_examples=80, deadline=None)
+def test_subset_events_match_the_bitmask_walk_on_random_graphs(data, l):
+    n, edges = data
+    g = Graph(n, sorted(edges))
+    fast = subset_events_or_error(enumerate_independent_set_events, g, l)
+    assert fast == subset_events_or_error(oracles.enumerate_independent_set_events, g, l)

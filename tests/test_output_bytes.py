@@ -1,8 +1,9 @@
 """Pinned bytes of the public JSON outputs.
 
-Each digest is the SHA-256 of a command's output as the package wrote it
-before the JSON encoder was replaced, so any later change to encoding or
-to the numbers has to show byte identity here, not just claim it.
+Each digest is the SHA-256 of a command's output, recorded before the code
+that produces it was rewritten (the JSON encoder; the Local Lemma checkers
+and the deletion search's failure path), so any later change to encoding
+or to the numbers has to show byte identity here, not just claim it.
 """
 
 import hashlib
@@ -29,6 +30,14 @@ DIGESTS = {
         "a1e4d9e1386bf622b29a300ad09ec625ff3675dc49ab70cf075a04e7d1a14f66",
     "scan --delta 0.5":
         "6c2e6bdbf3feef7a1bb52f99eb8cd7001a086055634b6bc557ea94311717f5f6",
+    "lll-check --assignment (general)":
+        "a5eaf5359dddd1bbbb75c57bf7328a399a837717d7daa8fc76003b9884cfb8d1",
+    "lll-check --assignment (bollobas)":
+        "5eccd53e5f2df289154899691815b6bb4c09f7bedc1b5539fdff4226ccc43d2e",
+    "lll-check --recipe-multipliers (mixed G_4)":
+        "898b2b54ab20107e49e65fdbf29e9b3b95b5121d481c47737b0b39593d3a39ac",
+    "search --n 3 --k 4 --p 0.01 --seed 1 --method delete --node-limit 1000":
+        "e449180102104a7f60fad2de1e73980a5ba59606a778b8e52567b458c24b636c",
 }
 
 
@@ -40,8 +49,8 @@ def digest(text):
 def run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
-    def run(*argv):
-        assert main(list(argv)) == 0
+    def run(*argv, code=0):
+        assert main(list(argv)) == code
         return capsys.readouterr().out
 
     return run
@@ -49,8 +58,10 @@ def run(capsys, tmp_path, monkeypatch):
 
 def test_public_outputs_are_byte_identical(run, tmp_path):
     got = {}
-    got["events --n 1 --l 3 --k 4 --p 0.05"] = run(
-        "events", "--n", "1", "--l", "3", "--k", "4", "--p", "0.05"
+    mixed = run("events", "--n", "1", "--l", "3", "--k", "4", "--p", "0.05", "--out", "mixed.json")
+    got["events --n 1 --l 3 --k 4 --p 0.05"] = mixed
+    got["lll-check --recipe-multipliers (mixed G_4)"] = run(
+        "lll-check", "--events", "mixed.json", "--recipe-multipliers", code=2
     )
     events = run("events", "--n", "2", "--k", "3", "--p", "0.05", "--out", "ev.json")
     assert (tmp_path / "ev.json").read_text() == events
@@ -58,6 +69,17 @@ def test_public_outputs_are_byte_identical(run, tmp_path):
     got["lll-check --recipe-multipliers --f 0.01"] = run(
         "lll-check", "--events", "ev.json", "--recipe-multipliers", "--f", "0.01"
     )
+    size = len(json.loads(events)["events"])
+    assignments = {
+        "general": [0.001 + (i % 5) * 0.0002 for i in range(size)],
+        "bollobas": [1.5 + (i % 7) * 0.1 for i in range(size)],
+    }
+    for style, multipliers in assignments.items():
+        path = tmp_path / f"{style}.json"
+        path.write_text(json.dumps({"style": style, "multipliers": multipliers}))
+        got[f"lll-check --assignment ({style})"] = run(
+            "lll-check", "--events", "ev.json", "--assignment", str(path)
+        )
     run("gen", "--n", "1")
     got["gen --n 1 (vertex JSON)"] = (tmp_path / "g4.vertices.json").read_text()
     cert = run("search", "--n", "2", "--k", "4", "--p", "0.5", "--seed", "0", "--method", "delete")
@@ -68,4 +90,8 @@ def test_public_outputs_are_byte_identical(run, tmp_path):
     )
     got["params --k 4 --delta 0.5"] = run("params", "--k", "4", "--delta", "0.5")
     got["scan --delta 0.5"] = run("scan", "--delta", "0.5")
+    got["search --n 3 --k 4 --p 0.01 --seed 1 --method delete --node-limit 1000"] = run(
+        "search", "--n", "3", "--k", "4", "--p", "0.01", "--seed", "1",
+        "--method", "delete", "--node-limit", "1000", code=2,
+    )
     assert {name: digest(text) for name, text in got.items()} == DIGESTS

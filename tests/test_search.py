@@ -444,14 +444,15 @@ def test_certify_converts_the_subset_once(g8, monkeypatch):
 
 
 def test_deletion_budget_failure_reason(g12):
-    with pytest.raises(CertificationError) as err:
-        deletion_method(
-            g12, ModelParams(n=3, p_override=0.01, seed=1), k=4,
-            alpha_budget=SolveBudget(node_limit=1000),
-        )
-    assert err.value.reason == (
+    failure = deletion_method(
+        g12, ModelParams(n=3, p_override=0.01, seed=1), k=4,
+        alpha_budget=SolveBudget(node_limit=1000),
+    )
+    assert isinstance(failure, SearchFailure)
+    assert failure.reason == (
         "independence solve exhausted its budget; cannot pick a certified bound l"
     )
+    assert (failure.l, failure.seed, failure.witness) == (0, 1, None)
 
 
 def test_certificate_independent_cross_check_with_networkx(g4):
