@@ -15,6 +15,7 @@ two constructions of the same graph are identical element for element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb, exp, log
 from typing import Iterator
 
@@ -270,6 +271,17 @@ def build_base_graph(n: int, allow_large: bool = False) -> BaseGraph:
     return BaseGraph(n, vertices, _product_n_pairs(masks, dim, n))
 
 
+@cache
+def _popcount16() -> np.ndarray:
+    """Set bits of every 16-bit value: a 65,536-entry uint8 table."""
+    values = np.arange(1 << 16, dtype=np.uint16)
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    for b in range(16):
+        table += (values >> b & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
+
+
 def _product_n_pairs(masks: list[int], dim: int, n: int) -> np.ndarray:
     """All pairs ``i < j`` with ``|masks[i] & masks[j]| == n``, as (E, 2) rows.
 
@@ -278,10 +290,7 @@ def _product_n_pairs(masks: list[int], dim: int, n: int) -> np.ndarray:
     of rows at a time; ``np.nonzero`` over each block's upper triangle
     yields the pairs in lexicographic order.
     """
-    values = np.arange(1 << 16, dtype=np.uint16)
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    for b in range(16):
-        table += (values >> b & 1).astype(np.uint8)
+    table = _popcount16()
     arr = np.array(masks, dtype=np.uint64)
     limbs = [
         (arr >> np.uint64(shift) & np.uint64(0xFFFF)).astype(np.uint16)

@@ -13,10 +13,14 @@ Both families are functions of disjoint-or-overlapping edge indicator
 sets, so two events are dependent exactly when their edge sets intersect.
 
 Storage: cycle events live in ``CycleBlock`` arrays, one int32 block per
-length s holding the canonical vertex tuples and the ascending edge ids,
-built by the vectorised enumerator ``cycle_blocks``.  ``EventBlocks``
-puts the few l-subset events (as ``EventSpec`` objects) in front of those
-blocks and tests every event against a boolean kept-edge array at once;
+length s holding the canonical vertex tuples and the ascending edge ids.
+One path-growth kernel serves three uses: ``cycle_blocks`` lists a
+graph's cycles root by root, ``count_cycle_blocks`` counts them without
+listing them (a popcount closes each path), and ``kept_cycle_blocks``
+lists the cycles of a kept-edge subgraph, all roots at once, with the
+base edge ids.  Those rows are exactly the base cycle events occurring on
+the subgraph, in event order, which is all a resampling search needs.
+``EventBlocks`` holds the few l-subset events (as ``EventSpec`` objects);
 cycle ``EventSpec`` lists are only materialised for JSON, the dependency
 structure and the LLL checks (``enumerate_cycle_events``, which
 ``EventBlocks.to_system`` calls).
@@ -30,6 +34,7 @@ derive their seed via ``derive_seed(seed, replica)``.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -37,13 +42,17 @@ from math import comb
 
 import numpy as np
 
-from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError
+from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, _popcount16
 
 KIND_INDEPENDENT_SET = "independent_set"
 KIND_CYCLE = "cycle"
 
 #: Event enumeration refuses above this many subsets, or this many cycles.
 EVENT_ENUMERATION_GUARD = 500_000
+
+#: ``EventSystem.neighbors`` refuses above this bound on its terms: the sum
+#: over edges of c_e ** 2, c_e the number of events on edge e.
+NEIGHBOR_TERM_GUARD = 20_000_000
 
 #: Candidate extensions examined per vectorised step of ``cycle_blocks``;
 #: bounds its temporary arrays independently of the graph's degree.
@@ -168,11 +177,16 @@ class EventSpec:
         }
 
 
-def _edge_id_matrix(g: Graph) -> np.ndarray:
-    """Dense int32 matrix of edge indices: ``eid[u, v]`` for each edge, else -1."""
+def _edge_id_matrix(g: Graph, kept: np.ndarray | None = None) -> np.ndarray:
+    """Dense int32 matrix of edge indices: ``eid[u, v]`` for each edge, else -1.
+
+    With a boolean ``kept`` over the edges, only the flagged edges are in.
+    """
     eid = np.full((g.num_vertices, g.num_vertices), -1, dtype=np.int32)
-    u, v = g.edge_array.T
     ids = np.arange(g.num_edges, dtype=np.int32)
+    if kept is not None:
+        ids = ids[kept]
+    u, v = g.edge_array[ids].T
     eid[u, v] = ids
     eid[v, u] = ids
     return eid
@@ -242,75 +256,191 @@ def cycle_blocks(
     before the running total (over all lengths) or the open paths of one
     root pass ``guard``.
     """
-    nv = g.num_vertices
-    eid = _edge_id_matrix(g)
-    adjacent = eid >= 0
-    indptr = np.concatenate(([0], np.cumsum(adjacent.sum(axis=1))))
-    nbrs = np.nonzero(adjacent)[1].astype(np.int32)  # row-major: ascending
-    max_degree = int(np.diff(indptr).max(initial=0))
-    step = max(1, _STEP_CANDIDATES // max(1, max_degree))  # paths per step
+    return _cycle_blocks(_PathKernel(_edge_id_matrix(g)), k, guard, batch=False)
+
+
+def kept_cycle_blocks(
+    g: Graph, kept: np.ndarray, k: int, guard: int = EVENT_ENUMERATION_GUARD
+) -> list[CycleBlock]:
+    """``cycle_blocks`` of the subgraph keeping the edges flagged in ``kept``.
+
+    The edge ids are those of ``g``, so the rows are exactly the cycles of
+    ``g`` that survive in the subgraph, in the same relative order.  The
+    paths of every root grow at once, which on a sparse subgraph is far
+    cheaper than a loop over roots; a length whose paths pass ``guard``
+    rows that way is enumerated root by root instead, with the guard of
+    ``cycle_blocks``.
+    """
+    return _cycle_blocks(_PathKernel(_edge_id_matrix(g, kept)), k, guard, batch=True)
+
+
+def count_cycle_blocks(g: Graph, k: int, guard: int = EVENT_ENUMERATION_GUARD) -> int:
+    """``sum(map(len, cycle_blocks(g, k, guard)))`` without listing a cycle.
+
+    The open paths grow root by root as in ``cycle_blocks``, and the last
+    step is a popcount of packed adjacency words, so ``SizeGuardError``
+    comes with the same message at the same point.
+    """
+    kernel = _PathKernel(_edge_id_matrix(g))
+    total = 0
+    for s in range(3, k + 1):
+        for root in range(kernel.num_vertices):
+            total += kernel.count_closing(kernel.root_paths(s, root, guard))
+            if total > guard:
+                raise _too_many_cycles(k, guard)
+    return total
+
+
+def _cycle_blocks(kernel, k, guard, batch):
+    """The blocks of lengths 3..k; with ``batch``, all roots grow at once."""
     total = 0
     blocks = []
     for s in range(3, k + 1):
-        found = []
-        for root in range(nv):
-            first = nbrs[indptr[root]:indptr[root + 1]]
-            first = first[first > root]
-            paths = np.column_stack((np.full(len(first), root, np.int32), first))
-            for _ in range(s - 3):
-                paths = _grow(paths, eid, indptr, nbrs, step, guard, close=False)
-                if paths is None:
-                    raise SizeGuardError(
-                        f"open paths from vertex {root} towards {s}-cycles "
-                        f"exceed the enumeration guard {guard}"
-                    )
-            cycles = _grow(paths, eid, indptr, nbrs, step, guard - total, close=True)
-            if cycles is None:
-                raise SizeGuardError(
-                    f"cycles of length 3..{k} exceed the enumeration guard {guard}"
-                )
-            total += len(cycles)
-            found.append(cycles)
-        members = np.concatenate(found) if found else np.empty((0, s), np.int32)
-        edge_ids = eid[members, np.roll(members, -1, axis=1)]
+        rows = None
+        if batch:
+            paths = kernel.open_paths(kernel.starts(), s, guard)
+            if paths is not None:
+                rows = kernel.grow(paths, guard - total, close=True)
+        if rows is None:
+            rows = _cycles_by_root(kernel, s, k, guard, total)
+        total += len(rows)
+        edge_ids = kernel.eid[rows, np.roll(rows, -1, axis=1)]
         edge_ids.sort(axis=1)
-        blocks.append(CycleBlock(s, members, edge_ids))
+        blocks.append(CycleBlock(s, rows, edge_ids))
     return blocks
 
 
-def _grow(paths, eid, indptr, nbrs, step, limit, close):
-    """Extend simple paths from one root by one vertex, in lexicographic order.
+def _cycles_by_root(kernel, s, k, guard, total):
+    """Every s-cycle, root by root; ``total`` cycles of shorter lengths came first."""
+    found = [np.empty((0, s), np.int32)]
+    for root in range(kernel.num_vertices):
+        cycles = kernel.grow(kernel.root_paths(s, root, guard), guard - total, close=True)
+        if cycles is None:
+            raise _too_many_cycles(k, guard)
+        total += len(cycles)
+        found.append(cycles)
+    return np.concatenate(found)
 
-    A path (root, v1, .., vm) takes every neighbour w of vm above the root
-    and off the path.  With ``close`` set, w must also be adjacent to the
-    root and above v1 (the reflection bound), so each row is a cycle.
-    Returns None, before allocating them, once more than ``limit`` rows
-    would come out.
+
+def _too_many_cycles(k, guard):
+    return SizeGuardError(f"cycles of length 3..{k} exceed the enumeration guard {guard}")
+
+
+class _PathKernel:
+    """The path-growth kernel of the cycle enumerator, over one graph.
+
+    A path is an int32 row (root, v1, .., vm) of distinct vertices, all
+    above the root.  ``grow`` extends paths one vertex at a time, each
+    into its candidates in ascending order with its children contiguous,
+    so rows stay in lexicographic order whenever the paths they grew from
+    were.
     """
-    m = paths.shape[1]
-    out = []
-    rows_out = 0
-    for lo in range(0, len(paths), step):
-        chunk = paths[lo:lo + step]
-        last = chunk[:, -1]
-        counts = indptr[last + 1] - indptr[last]
-        rows = np.repeat(np.arange(len(chunk)), counts)
-        offsets = np.repeat(indptr[last] - np.cumsum(counts) + counts, counts)
-        w = nbrs[offsets + np.arange(len(rows))]
-        prefix = chunk[rows]
-        if close:
-            keep = (w > prefix[:, 1]) & (eid[w, prefix[:, 0]] >= 0)
-            interior = range(2, m - 1)
-        else:
-            keep = w > prefix[:, 0]
-            interior = range(1, m - 1)
-        for j in interior:  # w is never the last vertex: no self-loops
-            keep &= w != prefix[:, j]
-        rows_out += int(np.count_nonzero(keep))
-        if rows_out > limit:
-            return None
-        out.append(np.column_stack((prefix[keep], w[keep])))
-    return np.concatenate(out) if out else np.empty((0, m + 1), np.int32)
+
+    def __init__(self, eid: np.ndarray):
+        self.eid = eid
+        self.num_vertices = len(eid)
+        self.adjacent = eid >= 0
+        self.indptr = np.concatenate(([0], np.cumsum(self.adjacent.sum(axis=1))))
+        self.nbrs = np.nonzero(self.adjacent)[1].astype(np.int32)  # row-major: ascending
+        max_degree = int(np.diff(self.indptr).max(initial=0))
+        self.step = max(1, _STEP_CANDIDATES // max(1, max_degree))  # paths per step
+
+    def starts(self, root: int | None = None) -> np.ndarray:
+        """The paths (root, v1) with v1 above the root: of one root, or of all."""
+        if root is None:
+            roots = np.repeat(np.arange(self.num_vertices, dtype=np.int32),
+                              np.diff(self.indptr))
+            return np.column_stack((roots, self.nbrs))[self.nbrs > roots]
+        first = self.nbrs[self.indptr[root]:self.indptr[root + 1]]
+        first = first[first > root]
+        return np.column_stack((np.full(len(first), root, np.int32), first))
+
+    def open_paths(self, paths, s, limit):
+        """``paths`` grown to the s - 1 vertices an s-cycle closes from, or None
+        once a step would give more than ``limit`` rows."""
+        for _ in range(s - 3):
+            paths = self.grow(paths, limit, close=False)
+            if paths is None:
+                break
+        return paths
+
+    def root_paths(self, s, root, guard):
+        """One root's open paths towards s-cycles; ``SizeGuardError`` past ``guard``."""
+        paths = self.open_paths(self.starts(root), s, guard)
+        if paths is None:
+            raise SizeGuardError(
+                f"open paths from vertex {root} towards {s}-cycles "
+                f"exceed the enumeration guard {guard}"
+            )
+        return paths
+
+    def grow(self, paths, limit, close):
+        """Extend every path by one vertex, in lexicographic order.
+
+        A path (root, v1, .., vm) takes every neighbour w of vm above the
+        root and off the path.  With ``close`` set, w must also be adjacent
+        to the root and above v1 (the reflection bound), so each row is a
+        cycle.  Returns None, before allocating them, once more than
+        ``limit`` rows would come out.
+        """
+        eid, indptr, nbrs = self.eid, self.indptr, self.nbrs
+        m = paths.shape[1]
+        out = []
+        rows_out = 0
+        for lo in range(0, len(paths), self.step):
+            chunk = paths[lo:lo + self.step]
+            last = chunk[:, -1]
+            counts = indptr[last + 1] - indptr[last]
+            rows = np.repeat(np.arange(len(chunk)), counts)
+            offsets = np.repeat(indptr[last] - np.cumsum(counts) + counts, counts)
+            w = nbrs[offsets + np.arange(len(rows))]
+            prefix = chunk[rows]
+            if close:
+                keep = (w > prefix[:, 1]) & (eid[w, prefix[:, 0]] >= 0)
+                interior = range(2, m - 1)
+            else:
+                keep = w > prefix[:, 0]
+                interior = range(1, m - 1)
+            for j in interior:  # w is never the last vertex: no self-loops
+                keep &= w != prefix[:, j]
+            rows_out += int(np.count_nonzero(keep))
+            if rows_out > limit:
+                return None
+            out.append(np.column_stack((prefix[keep], w[keep])))
+        return np.concatenate(out) if out else np.empty((0, m + 1), np.int32)
+
+    def count_closing(self, paths) -> int:
+        """``len(grow(paths, limit, close=True))``, without building the rows.
+
+        The candidates that close a path are the bits of ``adj[vm] &
+        adj[root] & above[v1] & ~interior``, counted word by word through
+        a 16-bit popcount table.
+        """
+        adj, above, single = self._words
+        table = _popcount16()
+        count = 0
+        for lo in range(0, len(paths), self.step):
+            chunk = paths[lo:lo + self.step]
+            words = adj[chunk[:, -1]] & adj[chunk[:, 0]] & above[chunk[:, 1]]
+            for j in range(2, chunk.shape[1] - 1):
+                words &= ~single[chunk[:, j]]
+            count += int(table[words].sum())
+        return count
+
+    @cached_property
+    def _words(self):
+        """Adjacency, "above v" and one-hot rows, packed into uint16 words."""
+        nv = self.num_vertices
+        above = np.triu(np.ones((nv, nv), dtype=bool), 1)
+        return [_pack_words(bits) for bits in (self.adjacent, above, np.eye(nv, dtype=bool))]
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Each row of a boolean matrix as uint16 words, bit j in word j // 16."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    if packed.shape[1] % 2:
+        packed = np.pad(packed, ((0, 0), (0, 1)))
+    return np.ascontiguousarray(packed).view(np.uint16)
 
 
 def enumerate_cycle_events(g: BaseGraph, k: int, p: float) -> list[EventSpec]:
@@ -343,7 +473,9 @@ class EventSystem:
     makes the whole avoidance problem infeasible and downstream checkers
     report it.  Neighborhoods are computed on first access: resampling
     searches never need them, and on cycle-rich base graphs they are by
-    far the most expensive part of the system.
+    far the most expensive part of the system, so a system whose
+    neighbour terms may pass ``NEIGHBOR_TERM_GUARD`` raises
+    ``SizeGuardError`` before any is built.
     """
 
     events: list[EventSpec]
@@ -358,6 +490,14 @@ class EventSystem:
     @property
     def neighbors(self) -> list[list[int]]:
         if self._neighbors is None:
+            per_edge = Counter(e for ev in self.events for e in ev.variable_set)
+            bound = sum(c * c for c in per_edge.values())
+            if bound > NEIGHBOR_TERM_GUARD:
+                raise SizeGuardError(
+                    f"neighbourhoods of {len(self.events)} events may hold up "
+                    f"to {bound} terms (the sum of squared events per edge), "
+                    f"over the guard {NEIGHBOR_TERM_GUARD}"
+                )
             by_edge: dict[int, list[int]] = {}
             for i, ev in enumerate(self.events):
                 for e in ev.variable_set:
@@ -406,15 +546,16 @@ class EventSystem:
 
 @dataclass
 class EventBlocks:
-    """The event system of ``g`` in array form, indexed like ``to_system().events``.
+    """The event system of ``g``, indexed like ``to_system().events``.
 
     ``subsets`` holds every l-subset event in combinations order,
     unavoidable ones included; the avoidable ones come first in the event
-    order, then the cycles of length 3..k block by block.  The cycle
-    blocks are enumerated on first use: ``occurring`` evaluates every event
-    on a boolean kept-edge array without building cycle ``EventSpec``
-    objects, while ``to_system`` builds them through
-    ``enumerate_cycle_events`` instead.
+    order, then the cycles of length 3..k block by block.  No cycle is
+    held here.  The cycle events occurring on a subgraph are exactly the
+    rows of ``kept_cycle_blocks`` on it, in event order, and
+    ``count_cycle_blocks`` counts the base graph's without listing them;
+    ``to_system`` builds every cycle ``EventSpec`` through
+    ``enumerate_cycle_events``.
     """
 
     g: BaseGraph
@@ -424,18 +565,6 @@ class EventBlocks:
 
     def __post_init__(self):
         self.unavoidable = [ev for ev in self.subsets if ev.unavoidable]
-
-    @cached_property
-    def cycles(self) -> list[CycleBlock]:
-        return cycle_blocks(self.g, self.k)
-
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        avoidable = len(self.subsets) - len(self.unavoidable)
-        return np.cumsum([avoidable] + [len(b) for b in self.cycles])
-
-    def __len__(self) -> int:
-        return int(self._offsets[-1])
 
     @property
     def feasible(self) -> bool:
@@ -452,25 +581,17 @@ class EventBlocks:
         )
         return ids, np.cumsum([0] + sizes)
 
-    def occurring(self, kept: np.ndarray) -> np.ndarray:
-        """Boolean occurrence of every event, for kept-edge flags ``kept``.
-
-        A subset event occurs when none of its edges is kept, a cycle event
-        when all of them are.
-        """
-        parts = [kept[b.edge_ids].all(axis=1) for b in self.cycles]
+    def subsets_occurring(self, kept: np.ndarray) -> np.ndarray:
+        """Whether each avoidable subset event holds: none of its edges kept."""
         ids, starts = self._subset_rows
-        if len(ids):
-            parts.insert(0, ~np.logical_or.reduceat(kept[ids], starts[:-1]))
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+        if not len(ids):
+            return np.zeros(0, dtype=bool)
+        return ~np.logical_or.reduceat(kept[ids], starts[:-1])
 
-    def variable_set(self, i: int) -> np.ndarray:
-        """Ascending edge ids of event ``i``."""
-        block = int(np.searchsorted(self._offsets, i, side="right"))
-        if block == 0:
-            ids, starts = self._subset_rows
-            return ids[starts[i]:starts[i + 1]]
-        return self.cycles[block - 1].edge_ids[i - self._offsets[block - 1]]
+    def subset_variable_set(self, i: int) -> np.ndarray:
+        """Ascending edge ids of the i-th avoidable subset event."""
+        ids, starts = self._subset_rows
+        return ids[starts[i]:starts[i + 1]]
 
     def to_system(self) -> EventSystem:
         return EventSystem.from_events(
@@ -489,8 +610,8 @@ def build_event_system(
 
     An l outside [1, N] raises ``ValueError`` and more than ``guard``
     subsets raise ``SizeGuardError``.  Cycles past
-    ``EVENT_ENUMERATION_GUARD`` raise ``SizeGuardError`` when the system
-    first needs them.
+    ``EVENT_ENUMERATION_GUARD`` raise ``SizeGuardError`` when they are
+    counted (``count_cycle_blocks``) or listed (``to_system``).
     """
     subsets = []
     if l is not None:

@@ -5,9 +5,11 @@ Two strategies produce certified subgraphs of a base graph:
 * Moser-Tardos resampling: draw every edge Bernoulli(p), then repeatedly
   pick the violated event with the lowest canonical index and redraw its
   edge set, until no bad event holds or the resample budget runs out.
-  The subgraph is a boolean array over the base edges and the events are
-  the model's array blocks (``model.EventBlocks``), so each round is one
-  vectorised rescan of every event rather than a loop over event objects.
+  The subgraph is a boolean array over the base edges.  The cycle events
+  that hold on it are exactly the cycles of the kept graph, so each round
+  lists those (``model.kept_cycle_blocks``) and tests the few subset
+  events; the base graph's cycles are only counted, once per search
+  (``model.count_cycle_blocks``), for the guard and the default budget.
 * deletion method: draw once, then repeatedly find the canonically first
   shortest cycle of length <= k (``solvers.iter_cycles``) and delete its
   smallest edge; termination and the girth guarantee are unconditional.
@@ -37,6 +39,8 @@ from .model import (
     _pack_mask,
     _stream,
     build_event_system,
+    count_cycle_blocks,
+    kept_cycle_blocks,
     sample_subgraph,
 )
 from .solvers import (
@@ -283,18 +287,21 @@ def moser_tardos_search(
 ) -> GirthCertificate | SearchFailure:
     """Resample violated events until none holds, then certify.
 
-    Events are scanned in canonical order (subset events in combinations
-    order first, then cycles by length); the lowest-index violated event
-    is resampled each round.  Cycle events for every length 3..k are
-    always enumerated; subset events only when ``subset_events`` allows
-    and the count C(N, l) fits the guard.  The default budget is ten
-    resamples per event.  Budget exhaustion and certification rejections
-    come back as ``SearchFailure`` values, never exceptions; more than
-    ``EVENT_ENUMERATION_GUARD`` cycles raise ``SizeGuardError``.
+    Events are ordered canonically (subset events in combinations order
+    first, then cycles by length); the lowest-index violated event is
+    resampled each round.  Cycle events cover every length 3..k; subset
+    events come only when ``subset_events`` allows and the count C(N, l)
+    fits the guard.  The default budget is ten resamples per event.
+    Budget exhaustion and certification rejections come back as
+    ``SearchFailure`` values, never exceptions; more than
+    ``EVENT_ENUMERATION_GUARD`` base cycles raise ``SizeGuardError``.
 
-    The subgraph is a boolean kept-edge array and every round rescans all
-    events at once with ``EventBlocks.occurring``; no cycle ``EventSpec``
-    is ever built.
+    The subgraph is a boolean kept-edge array.  The base graph's cycles
+    are counted once and never listed.  Each round lists the kept graph's
+    cycles, which are the occurring cycle events in event order with their
+    base edge ids, so the violated count is the occurring subset events
+    plus those rows, and the event to resample is the first occurring
+    subset event or else the first row of the shortest non-empty length.
     """
     p = params.p
     nv = g.num_vertices
@@ -314,15 +321,18 @@ def moser_tardos_search(
             n=g.n, k=k, l=l, seed=params.seed,
             witness=list(system.unavoidable[0].members),
         )
+    # counting the base graph's cycles enforces the cycle guard
+    size = len(system.subsets) + count_cycle_blocks(g, k)
     if max_resamples is None:
-        max_resamples = 10 * len(system)
+        max_resamples = 10 * size
     rng = _stream(params.seed)
     kept = rng.random(g.num_edges) < p
     history = []
     resamples = 0
     while True:
-        occurring = system.occurring(kept)
-        violated = int(np.count_nonzero(occurring))
+        subsets = system.subsets_occurring(kept)
+        cycles = kept_cycle_blocks(g, kept, k)
+        violated = int(np.count_nonzero(subsets)) + sum(map(len, cycles))
         history.append(violated)
         if not violated:
             break
@@ -333,7 +343,10 @@ def moser_tardos_search(
                 n=g.n, k=k, l=l, seed=params.seed,
                 resamples=resamples, violated_history=tuple(history),
             )
-        edge_ids = system.variable_set(int(occurring.argmax()))
+        if subsets.any():
+            edge_ids = system.subset_variable_set(int(subsets.argmax()))
+        else:
+            edge_ids = next(b.edge_ids[0] for b in cycles if len(b))
         kept[edge_ids] = rng.random(len(edge_ids)) < p
         resamples += 1
     sub = EdgeSubset(g, _pack_mask(kept))

@@ -8,13 +8,18 @@ Fast paths also keep their former slow implementations here, as
 references that must agree with them exactly.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 
 import math
 from math import comb
 from typing import Sequence
 
-from highgirth.graphs import BaseGraph, SizeGuardError, iter_bits
+import numpy as np
+
+from highgirth import model
+from highgirth.graphs import BaseGraph, EdgeSubset, SizeGuardError, iter_bits
 from highgirth.lll import (
     DEFAULT_TOL,
     HYPOTHESIS_CAP,
@@ -28,7 +33,18 @@ from highgirth.model import (
     KIND_INDEPENDENT_SET,
     EventSpec,
     EventSystem,
+    ModelParams,
     _edge_id_matrix,
+    _pack_mask,
+    _stream,
+    build_event_system,
+    cycle_blocks,
+)
+from highgirth.search import (
+    CertificationError,
+    GirthCertificate,
+    SearchFailure,
+    certify,
 )
 from highgirth.solvers import SolveResult, _Budget, _Exhausted, _reconstruct_cycle, as_graph
 
@@ -466,3 +482,117 @@ def enumerate_independent_set_events(
             )
         )
     return events
+
+
+# Moser-Tardos as it was before it scanned only the kept graph: every
+# cycle of the base graph enumerated once per search, and every event
+# rescanned on the boolean kept-edge array each round.  Same draws, same
+# history; the kept-graph scan must match it byte for byte.
+
+
+@dataclass
+class EventBlocks(model.EventBlocks):
+    """``model.EventBlocks`` holding the base graph's cycle blocks too."""
+
+    @cached_property
+    def cycles(self) -> list[model.CycleBlock]:
+        return cycle_blocks(self.g, self.k)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        avoidable = len(self.subsets) - len(self.unavoidable)
+        return np.cumsum([avoidable] + [len(b) for b in self.cycles])
+
+    def __len__(self) -> int:
+        return int(self._offsets[-1])
+
+    def occurring(self, kept: np.ndarray) -> np.ndarray:
+        """Boolean occurrence of every event, for kept-edge flags ``kept``.
+
+        A subset event occurs when none of its edges is kept, a cycle event
+        when all of them are.
+        """
+        parts = [self.subsets_occurring(kept)]
+        parts += [kept[b.edge_ids].all(axis=1) for b in self.cycles]
+        return np.concatenate(parts)
+
+    def variable_set(self, i: int) -> np.ndarray:
+        """Ascending edge ids of event ``i``."""
+        block = int(np.searchsorted(self._offsets, i, side="right"))
+        if block == 0:
+            return self.subset_variable_set(i)
+        return self.cycles[block - 1].edge_ids[i - self._offsets[block - 1]]
+
+
+def event_blocks(g, k, l, p, guard=EVENT_ENUMERATION_GUARD) -> EventBlocks:
+    """``build_event_system`` with the rescan API above."""
+    built = build_event_system(g, k, l, p, guard)
+    return EventBlocks(built.g, built.k, built.p, built.subsets)
+
+
+def moser_tardos_search(
+    g: BaseGraph,
+    params: ModelParams,
+    k: int,
+    l: int,
+    max_resamples: int | None = None,
+    subset_events: bool | str = "auto",
+    guard: int = EVENT_ENUMERATION_GUARD,
+    alpha_budget=None,
+) -> GirthCertificate | SearchFailure:
+    """Resample the lowest-index violated event until none holds, then certify."""
+    p = params.p
+    nv = g.num_vertices
+    enumerable = l <= nv and math.comb(nv, l) <= guard
+    if subset_events is True and l <= nv and not enumerable:
+        return SearchFailure(
+            reason=f"subset events required but C({nv}, {l}) "
+            f"exceeds the enumeration guard {guard}",
+            n=g.n, k=k, l=l, seed=params.seed,
+        )
+    subset_l = l if subset_events and enumerable else None
+    system = event_blocks(g, k, subset_l, p, guard)
+    if not system.feasible:
+        return SearchFailure(
+            reason=f"{len(system.unavoidable)} l-subsets span no base edge "
+            f"(l <= alpha of the base graph); no subgraph can avoid them",
+            n=g.n, k=k, l=l, seed=params.seed,
+            witness=list(system.unavoidable[0].members),
+        )
+    if max_resamples is None:
+        max_resamples = 10 * len(system)
+    rng = _stream(params.seed)
+    kept = rng.random(g.num_edges) < p
+    history = []
+    resamples = 0
+    while True:
+        occurring = system.occurring(kept)
+        violated = int(np.count_nonzero(occurring))
+        history.append(violated)
+        if not violated:
+            break
+        if resamples >= max_resamples:
+            return SearchFailure(
+                reason=f"resample budget {max_resamples} exhausted with "
+                f"{violated} events still violated",
+                n=g.n, k=k, l=l, seed=params.seed,
+                resamples=resamples, violated_history=tuple(history),
+            )
+        edge_ids = system.variable_set(int(occurring.argmax()))
+        kept[edge_ids] = rng.random(len(edge_ids)) < p
+        resamples += 1
+    sub = EdgeSubset(g, _pack_mask(kept))
+    try:
+        cert = certify(
+            sub, k, l,
+            alpha_budget=alpha_budget,
+            seed=params.seed, gamma=params.gamma, p=p,
+        )
+    except CertificationError as exc:
+        return SearchFailure(
+            reason=f"certification rejected: {exc.reason}",
+            n=g.n, k=k, l=l, seed=params.seed,
+            resamples=resamples, violated_history=tuple(history),
+            witness=exc.witness,
+        )
+    return cert

@@ -224,6 +224,20 @@ def test_lll_check_malformed_input(tmp_path, capsys):
     assert "events[0]" in err
 
 
+def test_lll_check_refuses_oversized_neighbourhoods(tmp_path, capsys, monkeypatch):
+    import highgirth.model as model
+
+    events_path = tmp_path / "events.json"
+    run(capsys, "events", "--n", "1", "--l", "3", "--k", "3", "--p", "0.05",
+        "--out", str(events_path))
+    monkeypatch.setattr(model, "NEIGHBOR_TERM_GUARD", 100)
+    code, out, err = run(capsys, "lll-check", "--events", str(events_path),
+                         "--recipe-multipliers")
+    assert code == 1
+    assert out == ""
+    assert "over the guard 100" in err
+
+
 def test_params_command(capsys):
     code, out, _ = run(capsys, "params", "--k", "3", "--delta", "0.1")
     assert code == 0

@@ -22,7 +22,14 @@ from highgirth import (
     sample_subgraph,
 )
 from highgirth import model
-from highgirth.model import KIND_CYCLE, KIND_INDEPENDENT_SET, EventSpec, ModelParams
+from highgirth.model import (
+    KIND_CYCLE,
+    KIND_INDEPENDENT_SET,
+    EventSpec,
+    ModelParams,
+    count_cycle_blocks,
+    kept_cycle_blocks,
+)
 from highgirth.solvers import cycle_edges
 
 import oracles
@@ -248,6 +255,82 @@ def test_cycle_guard_refuses_g8_pentagons_early(g8):
         enumerate_cycle_events(g8, 5, 0.1)
 
 
+# --- the count pass and the kept-graph scan ---------------------------------
+
+
+def guard_message(fn, *args):
+    with pytest.raises(SizeGuardError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+def test_count_matches_the_listed_blocks_on_g4(g4, k):
+    assert count_cycle_blocks(g4, k) == sum(map(len, cycle_blocks(g4, k)))
+
+
+def test_count_matches_the_listed_blocks_on_g8(g8):
+    assert count_cycle_blocks(g8, 4) == sum(map(len, cycle_blocks(g8, 4))) == 200_655
+
+
+@given(small_graphs, st.integers(min_value=3, max_value=7))
+@settings(max_examples=80, deadline=None)
+def test_count_matches_the_listed_blocks_on_random_graphs(data, k):
+    n, edges = data
+    g = Graph(n, sorted(edges))
+    assert count_cycle_blocks(g, k) == sum(map(len, cycle_blocks(g, k)))
+
+
+def test_count_raises_the_guard_errors_of_the_listing(g4, g8, g12):
+    k26 = Graph(8, [(a, b) for a in (0, 7) for b in range(1, 7)])
+    cases = [(g4, 4, 22), (g4, 3, 7), (k26, 5, 29), (g8, 5, 500_000), (g12, 3, 500_000)]
+    for g, k, guard in cases:
+        expected = guard_message(cycle_blocks, g, k, guard)
+        assert guard_message(count_cycle_blocks, g, k, guard) == expected
+    assert count_cycle_blocks(g4, 4, guard=23) == 23
+    assert count_cycle_blocks(k26, 5, guard=30) == 15
+
+
+def assert_kept_rows_are_the_surviving_rows(g, kept, k):
+    kept_blocks = kept_cycle_blocks(g, kept, k)
+    base_blocks = cycle_blocks(g, k)
+    assert [b.s for b in kept_blocks] == [b.s for b in base_blocks]
+    for got, base in zip(kept_blocks, base_blocks):
+        survives = kept[base.edge_ids].all(axis=1)
+        assert got.members.dtype == got.edge_ids.dtype == np.int32
+        assert got.members.tolist() == base.members[survives].tolist()
+        assert got.edge_ids.tolist() == base.edge_ids[survives].tolist()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.06, 0.3, 0.7, 1.0])
+def test_kept_scan_lists_the_surviving_base_cycles(g4, g8, p):
+    rng = np.random.default_rng(int(p * 100))
+    for g, k in [(g4, 6), (g8, 4)]:
+        assert_kept_rows_are_the_surviving_rows(g, rng.random(g.num_edges) < p, k)
+
+
+@given(small_graphs, st.integers(min_value=3, max_value=6), st.randoms())
+@settings(max_examples=80, deadline=None)
+def test_kept_scan_lists_the_surviving_cycles_of_random_graphs(data, k, rnd):
+    n, edges = data
+    g = Graph(n, sorted(edges))
+    kept = np.array([rnd.random() < 0.7 for _ in range(g.num_edges)], dtype=bool)
+    assert_kept_rows_are_the_surviving_rows(g, kept, k)
+
+
+def test_kept_scan_falls_back_to_one_root_at_a_time(g4):
+    # all roots at once hold 25 open paths towards quadrilaterals, one root
+    # at most 12: guard 23 takes the per-root loop and still lists all 23
+    kept = np.ones(g4.num_edges, dtype=bool)
+    blocks = kept_cycle_blocks(g4, kept, 4, guard=23)
+    for got, base in zip(blocks, cycle_blocks(g4, 4)):
+        assert np.array_equal(got.members, base.members)
+        assert np.array_equal(got.edge_ids, base.edge_ids)
+    assert guard_message(kept_cycle_blocks, g4, kept, 4, 22) == guard_message(
+        cycle_blocks, g4, 4, 22
+    )
+
+
 def test_cycle_events_on_synthetic_graphs(g4):
     # a forest base yields no events; a single quadrilateral yields one
     forest = BaseGraph(1, list(g4.vertices), [(0, 1), (1, 2), (2, 3)])
@@ -373,6 +456,18 @@ def test_disjoint_events_factorize(g4):
     assert abs(joint - product) <= 4 * sigma + 1e-9
 
 
+def test_neighbourhoods_refuse_past_the_term_bound(g8, monkeypatch):
+    # the bound is the sum over edges of (events on the edge) ** 2
+    system = build_event_system(g8, 3, None, 0.05).to_system()
+    per_edge = np.bincount([e for ev in system.events for e in ev.variable_set])
+    assert int((per_edge**2).sum()) == 408_240 <= model.NEIGHBOR_TERM_GUARD
+    monkeypatch.setattr(model, "NEIGHBOR_TERM_GUARD", 408_239)
+    with pytest.raises(SizeGuardError, match="7560 events may hold up to 408240"):
+        system.neighbors
+    monkeypatch.setattr(model, "NEIGHBOR_TERM_GUARD", 408_240)
+    assert sum(map(len, system.neighbors)) > 0
+
+
 def test_event_spec_validation():
     with pytest.raises(ValueError):
         EventSpec(kind="mystery", variable_set=(0,), meta=3, probability=0.5, members=())
@@ -383,10 +478,14 @@ def test_event_spec_validation():
 # --- array-backed event systems ------------------------------------------------
 
 
+# These check the rescan API of ``oracles.EventBlocks``, the reference
+# that the kept-graph scan of Moser-Tardos is held to.
+
+
 @pytest.mark.parametrize("k,l", [(3, 3), (4, 4), (5, 2), (6, None), (4, 6)])
 def test_event_blocks_match_the_spec_system(g4, k, l):
     p = 0.3
-    blocks = build_event_system(g4, k, l, p)
+    blocks = oracles.event_blocks(g4, k, l, p)
     events = [] if l is None else enumerate_independent_set_events(g4, l, p)
     reference = EventSystem.from_events(events + enumerate_cycle_events(g4, k, p))
     system = blocks.to_system()
@@ -402,7 +501,7 @@ def test_event_blocks_match_the_spec_system(g4, k, l):
 
 @pytest.mark.parametrize("k,l", [(3, 3), (4, 4), (5, 2), (4, 6), (4, None)])
 def test_vectorised_occurrence_matches_scalar_scan(g4, k, l):
-    blocks = build_event_system(g4, k, l, 0.5)
+    blocks = oracles.event_blocks(g4, k, l, 0.5)
     events = blocks.to_system().events
     rng = np.random.default_rng(k * 10 + (l or 0))
     masks = [0, (1 << g4.num_edges) - 1]
@@ -422,7 +521,8 @@ def test_build_event_system_subset_events(g4, g8):
         build_event_system(g8, 3, 3, p, guard=10_000)
     with pytest.raises(ValueError, match="outside"):
         build_event_system(g4, 3, 7, p)
-    empty = build_event_system(g4, 2, None, p)
+    assert build_event_system(g4, 2, None, p).to_system().events == []
+    empty = oracles.event_blocks(g4, 2, None, p)
     assert len(empty) == 0
     assert empty.occurring(np.ones(g4.num_edges, dtype=bool)).shape == (0,)
 

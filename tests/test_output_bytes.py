@@ -2,8 +2,9 @@
 
 Each digest is the SHA-256 of a command's output, recorded before the code
 that produces it was rewritten (the JSON encoder; the Local Lemma checkers
-and the deletion search's failure path), so any later change to encoding
-or to the numbers has to show byte identity here, not just claim it.
+and the deletion search's failure path; the Moser-Tardos event scan), so
+any later change to encoding or to the numbers has to show byte identity
+here, not just claim it.
 """
 
 import hashlib
@@ -38,6 +39,17 @@ DIGESTS = {
         "898b2b54ab20107e49e65fdbf29e9b3b95b5121d481c47737b0b39593d3a39ac",
     "search --n 3 --k 4 --p 0.01 --seed 1 --method delete --node-limit 1000":
         "e449180102104a7f60fad2de1e73980a5ba59606a778b8e52567b458c24b636c",
+}
+
+MT_DIGESTS = {
+    "search --n 2 --k 4 --l 50 --p 0.06 --seed 1 --method mt":
+        "a4ded46c5518198d483fdd7ef8f9db0925d33e3d7a8566029232b0276c6b3a73",
+    "certify (the mt certificate)":
+        "4aba0ca9857a1803745483b9e4f39ddf5a35d107026d03b38d46329bedadf653",
+    "search --n 2 --k 4 --l 50 --p 0.15 --seed 5 --method mt --max-resamples 12":
+        "eea4ddd83d7b6ce3dd306eef1b8e389b39ac500f5512ee97b093c15965061678",
+    "search --n 1 --k 3 --l 4 --p 0.5 --subset-events on --max-resamples 500":
+        "6d52fc0dbd91413f36f60edb7c0abc7ed47d66648c90ecd7b48adbe3c1288d80",
 }
 
 
@@ -95,3 +107,23 @@ def test_public_outputs_are_byte_identical(run, tmp_path):
         "--method", "delete", "--node-limit", "1000", code=2,
     )
     assert {name: digest(text) for name, text in got.items()} == DIGESTS
+
+
+def test_moser_tardos_outputs_are_byte_identical(run):
+    got = {}
+    cert = run("search", "--n", "2", "--k", "4", "--l", "50", "--p", "0.06",
+               "--seed", "1", "--method", "mt")
+    got["search --n 2 --k 4 --l 50 --p 0.06 --seed 1 --method mt"] = cert
+    got["certify (the mt certificate)"] = run(
+        "certify", "--n", "2", "--mask-hex", json.loads(cert)["edge_mask_hex"],
+        "--k", "4", "--l", "50",
+    )
+    got["search --n 2 --k 4 --l 50 --p 0.15 --seed 5 --method mt --max-resamples 12"] = run(
+        "search", "--n", "2", "--k", "4", "--l", "50", "--p", "0.15", "--seed", "5",
+        "--method", "mt", "--max-resamples", "12", code=2,
+    )
+    got["search --n 1 --k 3 --l 4 --p 0.5 --subset-events on --max-resamples 500"] = run(
+        "search", "--n", "1", "--k", "3", "--l", "4", "--p", "0.5",
+        "--subset-events", "on", "--max-resamples", "500",
+    )
+    assert {name: digest(text) for name, text in got.items()} == MT_DIGESTS

@@ -2,6 +2,8 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from highgirth import (
     CertificationError,
@@ -20,6 +22,8 @@ from highgirth import (
     sample_subgraph,
 )
 from highgirth.dimacs import dump_json
+
+import oracles
 
 
 def _json_bytes(doc):
@@ -329,6 +333,44 @@ def test_mt_refuses_oversized_cycle_systems(g12):
     # G_12 has 10.1M triangles: refused after a few roots
     with pytest.raises(SizeGuardError, match="guard 500000"):
         moser_tardos_search(g12, ModelParams(n=3, p_override=0.1, seed=0), k=3, l=50)
+
+
+def mt_outcome(search_fn, *args, **kwargs):
+    try:
+        return _json_bytes(search_fn(*args, **kwargs).to_json())
+    except SizeGuardError as exc:
+        return f"SizeGuardError: {exc}"
+
+
+@given(
+    data=st.data(),
+    on_g8=st.booleans(),
+    k=st.integers(min_value=3, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**32),
+    subset_events=st.sampled_from(["auto", True, False]),
+)
+@settings(max_examples=60, deadline=None)
+def test_mt_matches_the_base_rescan_oracle(g4, g8, data, on_g8, k, seed, subset_events):
+    # G_8 at k = 5 passes the cycle guard: both raise the same error; the
+    # small budgets make resample-budget failures common
+    if on_g8:
+        g, n = g8, 2
+        l = data.draw(st.sampled_from([3, 40, 50, 60, 80]), label="l")
+        p = data.draw(st.sampled_from([0.02, 0.06, 0.15, 0.3]), label="p")
+        budget = data.draw(st.integers(min_value=0, max_value=15), label="max_resamples")
+    else:
+        g, n = g4, 1
+        l = data.draw(st.integers(min_value=2, max_value=7), label="l")
+        p = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.8, 0.99]), label="p")
+        budget = data.draw(
+            st.none() | st.integers(min_value=0, max_value=30), label="max_resamples"
+        )
+    params = ModelParams(n=n, p_override=p, seed=seed)
+    args = (g, params, k, l)
+    kwargs = dict(max_resamples=budget, subset_events=subset_events)
+    assert mt_outcome(moser_tardos_search, *args, **kwargs) == mt_outcome(
+        oracles.moser_tardos_search, *args, **kwargs
+    )
 
 
 def test_mt_termination_regression(g4):
