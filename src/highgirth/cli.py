@@ -91,10 +91,11 @@ def _resolve_seed(args) -> int:
 
 
 def _edge_probability(args, n: int) -> float:
-    """``--p`` if given, else ``--gamma ** (4n)``; one of the two is required."""
+    """``--p`` if given, else ``--gamma ** (4n)``; one of the two is required,
+    and ``ModelParams`` range-checks it."""
     if args.p is None and args.gamma is None:
         raise _UsageError("one of --gamma or --p is required")
-    return args.p if args.p is not None else args.gamma ** (4 * n)
+    return ModelParams(n=n, gamma=args.gamma, p_override=args.p).p
 
 
 def _model_params(args, n: int) -> ModelParams:
@@ -160,7 +161,7 @@ def cmd_sample(args) -> int:
 def cmd_events(args) -> int:
     g = build_base_graph(args.n, allow_large=args.allow_large)
     p = _edge_probability(args, args.n)
-    system = build_event_system(g, args.k, args.l, p).to_system()
+    system = build_event_system(g, args.k, args.l, p)
     doc = {"n": args.n, "p": p, "l": args.l, "k": args.k, **system.to_json()}
     _emit(doc, args)
     return 0
@@ -169,22 +170,27 @@ def cmd_events(args) -> int:
 def _load_event_system(path: str) -> tuple[EventSystem, dict]:
     with open(path) as fh:
         doc = json.load(fh)
-    if "events" not in doc or not isinstance(doc["events"], list):
+    if not isinstance(doc, dict) or not isinstance(doc.get("events"), list):
         raise _UsageError(f"{path}: expected an object with an 'events' array")
+    if type(doc.get("p")) not in (int, float, type(None)):
+        raise _UsageError(f"{path}: p must be a number, got {doc['p']!r}")
     events = []
     for i, entry in enumerate(doc["events"]):
         try:
-            events.append(
-                EventSpec(
-                    kind=entry["kind"],
-                    variable_set=tuple(entry["variable_set"]),
-                    meta=entry.get("meta", len(entry["variable_set"])),
-                    probability=entry["probability"],
-                    members=tuple(entry.get("members", ())),
-                )
+            ev = EventSpec(
+                kind=entry["kind"],
+                variable_set=tuple(entry["variable_set"]),
+                meta=entry.get("meta", len(entry["variable_set"])),
+                probability=entry["probability"],
+                members=tuple(entry.get("members", ())),
             )
+            if not all(type(v) is int for v in (*ev.variable_set, *ev.members, ev.meta)):
+                raise ValueError("variable_set, members and meta must be integers")
+            if type(ev.probability) not in (int, float):
+                raise ValueError(f"probability must be a number, got {ev.probability!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"{path}: events[{i}]: {exc}") from None
+        events.append(ev)
     return EventSystem.from_events(events), doc
 
 
@@ -352,7 +358,7 @@ def cmd_certify(args) -> int:
 def cmd_export(args) -> int:
     with open(args.certificate) as fh:
         cert = GirthCertificate.from_json(json.load(fh))
-    g = build_base_graph(cert.n, allow_large=True)
+    g = build_base_graph(cert.n)
     sub = cert.subgraph(g)
     out = _output_dir(args)
     if args.format == "dimacs":

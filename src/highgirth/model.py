@@ -20,10 +20,10 @@ listing them (a popcount closes each path), and ``kept_cycle_blocks``
 lists the cycles of a kept-edge subgraph, all roots at once, with the
 base edge ids.  Those rows are exactly the base cycle events occurring on
 the subgraph, in event order, which is all a resampling search needs.
-``EventBlocks`` holds the few l-subset events (as ``EventSpec`` objects);
-cycle ``EventSpec`` lists are only materialised for JSON, the dependency
-structure and the LLL checks (``enumerate_cycle_events``, which
-``EventBlocks.to_system`` calls).
+Cycle ``EventSpec`` lists are only materialised by
+``enumerate_cycle_events``, for ``build_event_system``: the one builder of
+the ``EventSystem`` that JSON, the dependency structure and the LLL checks
+read.
 
 PRNG contract: sampling uses NumPy's PCG64 stream seeded with the model
 seed, drawing one uniform per base edge in canonical edge-list order;
@@ -47,7 +47,8 @@ from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, _popcount16
 KIND_INDEPENDENT_SET = "independent_set"
 KIND_CYCLE = "cycle"
 
-#: Event enumeration refuses above this many subsets, or this many cycles.
+#: Event enumeration refuses above this many subsets, or this many cycles;
+#: read at call time.
 EVENT_ENUMERATION_GUARD = 500_000
 
 #: ``EventSystem.neighbors`` refuses above this bound on its terms: the sum
@@ -161,12 +162,6 @@ class EventSpec:
         """Probability-1 events: an independent base subset stays independent."""
         return self.kind == KIND_INDEPENDENT_SET and not self.variable_set
 
-    def occurs(self, mask: int) -> bool:
-        """Whether the event holds on a subgraph given as an edge mask."""
-        if self.kind == KIND_CYCLE:
-            return all((mask >> i) & 1 for i in self.variable_set)
-        return not any((mask >> i) & 1 for i in self.variable_set)
-
     def to_json(self) -> dict:
         return {
             "kind": self.kind,
@@ -192,23 +187,23 @@ def _edge_id_matrix(g: Graph, kept: np.ndarray | None = None) -> np.ndarray:
     return eid
 
 
-def enumerate_independent_set_events(
-    g: BaseGraph, l: int, p: float, guard: int = EVENT_ENUMERATION_GUARD
-) -> list[EventSpec]:
+def enumerate_independent_set_events(g: BaseGraph, l: int, p: float) -> list[EventSpec]:
     """One event per l-element vertex subset, in combinations order.
 
     Each event's edge set is the base edges inside the subset; subsets
     spanning no base edge come out with probability 1 (flagged by
     ``EventSpec.unavoidable``) and make any avoidance argument infeasible,
     which happens exactly when l is at most the base independence number.
+    More than ``EVENT_ENUMERATION_GUARD`` subsets raise ``SizeGuardError``.
     """
     nv = g.num_vertices
     if not 1 <= l <= nv:
         raise ValueError(f"subset size {l} outside [1, {nv}]")
     total = comb(nv, l)
-    if total > guard:
+    if total > EVENT_ENUMERATION_GUARD:
         raise SizeGuardError(
-            f"C({nv}, {l}) = {total} subsets exceed the enumeration guard {guard}"
+            f"C({nv}, {l}) = {total} subsets exceed the enumeration guard "
+            f"{EVENT_ENUMERATION_GUARD}"
         )
     eid = _edge_id_matrix(g).tolist()
     events = []
@@ -244,9 +239,7 @@ class CycleBlock:
         return len(self.members)
 
 
-def cycle_blocks(
-    g: Graph, k: int, guard: int = EVENT_ENUMERATION_GUARD
-) -> list[CycleBlock]:
+def cycle_blocks(g: Graph, k: int) -> list[CycleBlock]:
     """One block per cycle length 3..k, rows in canonical lexicographic order.
 
     Paths grow root by root over a dense edge-id matrix; each path expands
@@ -254,34 +247,33 @@ def cycle_blocks(
     contiguous, which reproduces ``enumerate_cycles`` row for row.  Cycles
     are counted as each root finishes, and ``SizeGuardError`` is raised
     before the running total (over all lengths) or the open paths of one
-    root pass ``guard``.
+    root pass ``EVENT_ENUMERATION_GUARD``.
     """
-    return _cycle_blocks(_PathKernel(_edge_id_matrix(g)), k, guard, batch=False)
+    return _cycle_blocks(_PathKernel(_edge_id_matrix(g)), k, batch=False)
 
 
-def kept_cycle_blocks(
-    g: Graph, kept: np.ndarray, k: int, guard: int = EVENT_ENUMERATION_GUARD
-) -> list[CycleBlock]:
+def kept_cycle_blocks(g: Graph, kept: np.ndarray, k: int) -> list[CycleBlock]:
     """``cycle_blocks`` of the subgraph keeping the edges flagged in ``kept``.
 
     The edge ids are those of ``g``, so the rows are exactly the cycles of
     ``g`` that survive in the subgraph, in the same relative order.  The
     paths of every root grow at once, which on a sparse subgraph is far
-    cheaper than a loop over roots; a length whose paths pass ``guard``
-    rows that way is enumerated root by root instead, with the guard of
-    ``cycle_blocks``.
+    cheaper than a loop over roots; a length whose paths pass
+    ``EVENT_ENUMERATION_GUARD`` rows that way is enumerated root by root
+    instead, with the guard of ``cycle_blocks``.
     """
-    return _cycle_blocks(_PathKernel(_edge_id_matrix(g, kept)), k, guard, batch=True)
+    return _cycle_blocks(_PathKernel(_edge_id_matrix(g, kept)), k, batch=True)
 
 
-def count_cycle_blocks(g: Graph, k: int, guard: int = EVENT_ENUMERATION_GUARD) -> int:
-    """``sum(map(len, cycle_blocks(g, k, guard)))`` without listing a cycle.
+def count_cycle_blocks(g: Graph, k: int) -> int:
+    """``sum(map(len, cycle_blocks(g, k)))`` without listing a cycle.
 
     The open paths grow root by root as in ``cycle_blocks``, and the last
     step is a popcount of packed adjacency words, so ``SizeGuardError``
     comes with the same message at the same point.
     """
     kernel = _PathKernel(_edge_id_matrix(g))
+    guard = EVENT_ENUMERATION_GUARD
     total = 0
     for s in range(3, k + 1):
         for root in range(kernel.num_vertices):
@@ -291,8 +283,9 @@ def count_cycle_blocks(g: Graph, k: int, guard: int = EVENT_ENUMERATION_GUARD) -
     return total
 
 
-def _cycle_blocks(kernel, k, guard, batch):
+def _cycle_blocks(kernel, k, batch):
     """The blocks of lengths 3..k; with ``batch``, all roots grow at once."""
+    guard = EVENT_ENUMERATION_GUARD
     total = 0
     blocks = []
     for s in range(3, k + 1):
@@ -529,14 +522,6 @@ class EventSystem:
     def probabilities(self) -> list[float]:
         return [ev.probability for ev in self.events]
 
-    def split_neighbors(self, i: int) -> dict[tuple[str, int], list[int]]:
-        """Neighborhood of event i grouped by (kind, meta)."""
-        groups: dict[tuple[str, int], list[int]] = {}
-        for j in self.neighbors[i]:
-            ev = self.events[j]
-            groups.setdefault((ev.kind, ev.meta), []).append(j)
-        return groups
-
     def to_json(self) -> dict:
         return {
             "events": [ev.to_json() for ev in self.events],
@@ -544,76 +529,14 @@ class EventSystem:
         }
 
 
-@dataclass
-class EventBlocks:
-    """The event system of ``g``, indexed like ``to_system().events``.
+def build_event_system(g: BaseGraph, k: int, l: int | None, p: float) -> EventSystem:
+    """The event system of ``g``: the l-subset events, then the cycles of length 3..k.
 
-    ``subsets`` holds every l-subset event in combinations order,
-    unavoidable ones included; the avoidable ones come first in the event
-    order, then the cycles of length 3..k block by block.  No cycle is
-    held here.  The cycle events occurring on a subgraph are exactly the
-    rows of ``kept_cycle_blocks`` on it, in event order, and
-    ``count_cycle_blocks`` counts the base graph's without listing them;
-    ``to_system`` builds every cycle ``EventSpec`` through
-    ``enumerate_cycle_events``.
+    With ``l`` None there are no subset events.  The events come from
+    ``enumerate_independent_set_events`` and ``enumerate_cycle_events``, and
+    ``EventSystem.from_events`` sets the unavoidable subsets apart.  An l
+    outside [1, N] raises ``ValueError``; more than
+    ``EVENT_ENUMERATION_GUARD`` subsets, or cycles, raise ``SizeGuardError``.
     """
-
-    g: BaseGraph
-    k: int
-    p: float
-    subsets: list[EventSpec]
-
-    def __post_init__(self):
-        self.unavoidable = [ev for ev in self.subsets if ev.unavoidable]
-
-    @property
-    def feasible(self) -> bool:
-        return not self.unavoidable
-
-    @cached_property
-    def _subset_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Avoidable subset events' edge ids end to end, and where each starts."""
-        avoidable = [ev for ev in self.subsets if not ev.unavoidable]
-        sizes = [len(ev.variable_set) for ev in avoidable]
-        ids = np.fromiter(
-            (e for ev in avoidable for e in ev.variable_set),
-            dtype=np.int64, count=sum(sizes),
-        )
-        return ids, np.cumsum([0] + sizes)
-
-    def subsets_occurring(self, kept: np.ndarray) -> np.ndarray:
-        """Whether each avoidable subset event holds: none of its edges kept."""
-        ids, starts = self._subset_rows
-        if not len(ids):
-            return np.zeros(0, dtype=bool)
-        return ~np.logical_or.reduceat(kept[ids], starts[:-1])
-
-    def subset_variable_set(self, i: int) -> np.ndarray:
-        """Ascending edge ids of the i-th avoidable subset event."""
-        ids, starts = self._subset_rows
-        return ids[starts[i]:starts[i + 1]]
-
-    def to_system(self) -> EventSystem:
-        return EventSystem.from_events(
-            self.subsets + enumerate_cycle_events(self.g, self.k, self.p)
-        )
-
-
-def build_event_system(
-    g: BaseGraph,
-    k: int,
-    l: int | None,
-    p: float,
-    guard: int = EVENT_ENUMERATION_GUARD,
-) -> EventBlocks:
-    """Cycle events for lengths 3..k plus, unless ``l`` is None, l-subset events.
-
-    An l outside [1, N] raises ``ValueError`` and more than ``guard``
-    subsets raise ``SizeGuardError``.  Cycles past
-    ``EVENT_ENUMERATION_GUARD`` raise ``SizeGuardError`` when they are
-    counted (``count_cycle_blocks``) or listed (``to_system``).
-    """
-    subsets = []
-    if l is not None:
-        subsets = enumerate_independent_set_events(g, l, p, guard=guard)
-    return EventBlocks(g, k, p, subsets)
+    subsets = [] if l is None else enumerate_independent_set_events(g, l, p)
+    return EventSystem.from_events(subsets + enumerate_cycle_events(g, k, p))

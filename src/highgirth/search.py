@@ -31,15 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, model
 from .graphs import BaseGraph, EdgeSubset, Graph
 from .model import (
-    EVENT_ENUMERATION_GUARD,
     ModelParams,
     _pack_mask,
     _stream,
-    build_event_system,
     count_cycle_blocks,
+    enumerate_independent_set_events,
     kept_cycle_blocks,
     sample_subgraph,
 )
@@ -112,6 +111,11 @@ class GirthCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GirthCertificate":
+        if not isinstance(doc, dict):
+            raise ValueError("a certificate must be a JSON object")
+        for key in ("n", "k", "l"):
+            if type(doc[key]) is not int:
+                raise ValueError(f"certificate {key} must be an integer, got {doc[key]!r}")
         girth_value = doc["girth"]
         gamma_or_p = doc.get("gamma_or_p", {})
         return cls(
@@ -282,7 +286,6 @@ def moser_tardos_search(
     l: int,
     max_resamples: int | None = None,
     subset_events: bool | str = "auto",
-    guard: int = EVENT_ENUMERATION_GUARD,
     alpha_budget: SolveBudget | None = None,
 ) -> GirthCertificate | SearchFailure:
     """Resample violated events until none holds, then certify.
@@ -291,20 +294,24 @@ def moser_tardos_search(
     first, then cycles by length); the lowest-index violated event is
     resampled each round.  Cycle events cover every length 3..k; subset
     events come only when ``subset_events`` allows and the count C(N, l)
-    fits the guard.  The default budget is ten resamples per event.
-    Budget exhaustion and certification rejections come back as
-    ``SearchFailure`` values, never exceptions; more than
+    fits ``model.EVENT_ENUMERATION_GUARD``.  The default budget is ten
+    resamples per event.  Budget exhaustion and certification rejections
+    come back as ``SearchFailure`` values, never exceptions; more than
     ``EVENT_ENUMERATION_GUARD`` base cycles raise ``SizeGuardError``.
 
-    The subgraph is a boolean kept-edge array.  The base graph's cycles
-    are counted once and never listed.  Each round lists the kept graph's
-    cycles, which are the occurring cycle events in event order with their
-    base edge ids, so the violated count is the occurring subset events
-    plus those rows, and the event to resample is the first occurring
-    subset event or else the first row of the shortest non-empty length.
+    The subgraph is a boolean kept-edge array.  The avoidable subset
+    events' edge ids lie end to end in one array, with each event's start
+    offset in another, so one ``logical_or.reduceat`` tests them all.  The
+    base graph's cycles are counted once and never listed.  Each round
+    lists the kept graph's cycles, which are the occurring cycle events in
+    event order with their base edge ids, so the violated count is the
+    occurring subset events plus those rows, and the event to resample is
+    the first occurring subset event or else the first row of the shortest
+    non-empty length.
     """
     p = params.p
     nv = g.num_vertices
+    guard = model.EVENT_ENUMERATION_GUARD
     enumerable = l <= nv and math.comb(nv, l) <= guard
     if subset_events is True and l <= nv and not enumerable:
         return SearchFailure(
@@ -312,17 +319,22 @@ def moser_tardos_search(
             f"exceeds the enumeration guard {guard}",
             n=g.n, k=k, l=l, seed=params.seed,
         )
-    subset_l = l if subset_events and enumerable else None
-    system = build_event_system(g, k, subset_l, p, guard)
-    if not system.feasible:
+    subsets = []
+    if subset_events and enumerable:
+        subsets = enumerate_independent_set_events(g, l, p)
+    unavoidable = [ev for ev in subsets if ev.unavoidable]
+    if unavoidable:
         return SearchFailure(
-            reason=f"{len(system.unavoidable)} l-subsets span no base edge "
+            reason=f"{len(unavoidable)} l-subsets span no base edge "
             f"(l <= alpha of the base graph); no subgraph can avoid them",
             n=g.n, k=k, l=l, seed=params.seed,
-            witness=list(system.unavoidable[0].members),
+            witness=list(unavoidable[0].members),
         )
+    # the subset events' edge ids end to end, and where each starts (and the last ends)
+    subset_ids = np.array([e for ev in subsets for e in ev.variable_set], dtype=np.int64)
+    subset_starts = np.cumsum([0] + [len(ev.variable_set) for ev in subsets])
     # counting the base graph's cycles enforces the cycle guard
-    size = len(system.subsets) + count_cycle_blocks(g, k)
+    size = len(subsets) + count_cycle_blocks(g, k)
     if max_resamples is None:
         max_resamples = 10 * size
     rng = _stream(params.seed)
@@ -330,9 +342,11 @@ def moser_tardos_search(
     history = []
     resamples = 0
     while True:
-        subsets = system.subsets_occurring(kept)
+        occurring = np.zeros(0, dtype=bool)
+        if subsets:
+            occurring = ~np.logical_or.reduceat(kept[subset_ids], subset_starts[:-1])
         cycles = kept_cycle_blocks(g, kept, k)
-        violated = int(np.count_nonzero(subsets)) + sum(map(len, cycles))
+        violated = int(np.count_nonzero(occurring)) + sum(map(len, cycles))
         history.append(violated)
         if not violated:
             break
@@ -343,8 +357,9 @@ def moser_tardos_search(
                 n=g.n, k=k, l=l, seed=params.seed,
                 resamples=resamples, violated_history=tuple(history),
             )
-        if subsets.any():
-            edge_ids = system.subset_variable_set(int(subsets.argmax()))
+        if occurring.any():
+            i = int(occurring.argmax())
+            edge_ids = subset_ids[subset_starts[i]:subset_starts[i + 1]]
         else:
             edge_ids = next(b.edge_ids[0] for b in cycles if len(b))
         kept[edge_ids] = rng.random(len(edge_ids)) < p

@@ -29,7 +29,7 @@ from highgirth.lll import (
     recipe_multipliers,
 )
 from highgirth.model import (
-    EVENT_ENUMERATION_GUARD,
+    KIND_CYCLE,
     KIND_INDEPENDENT_SET,
     EventSpec,
     EventSystem,
@@ -37,7 +37,6 @@ from highgirth.model import (
     _edge_id_matrix,
     _pack_mask,
     _stream,
-    build_event_system,
     cycle_blocks,
 )
 from highgirth.search import (
@@ -143,18 +142,28 @@ def alpha_via_complement_cliques(num_vertices, edges):
     return max_clique_enumerate(num_vertices, comp)
 
 
-def occurring_events(events, mask):
-    """Indices of the events that hold on an edge mask, one event at a time.
+def occurs(ev: EventSpec, mask: int) -> bool:
+    """Whether an event holds on a subgraph given as an edge mask.
 
     A cycle event holds when every edge of its variable set is present, an
     independent-set event when none is.
     """
-    out = []
-    for i, ev in enumerate(events):
-        present = [(mask >> e) & 1 for e in ev.variable_set]
-        if all(present) if ev.kind == "cycle" else not any(present):
-            out.append(i)
-    return out
+    present = [(mask >> e) & 1 for e in ev.variable_set]
+    return all(present) if ev.kind == KIND_CYCLE else not any(present)
+
+
+def occurring_events(events, mask):
+    """Indices of the events that hold on an edge mask, one event at a time."""
+    return [i for i, ev in enumerate(events) if occurs(ev, mask)]
+
+
+def split_neighbors(system: EventSystem, i: int) -> dict[tuple[str, int], list[int]]:
+    """Neighbourhood of event i grouped by (kind, meta)."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for j in system.neighbors[i]:
+        ev = system.events[j]
+        groups.setdefault((ev.kind, ev.meta), []).append(j)
+    return groups
 
 
 def base_graph_pairscan(n):
@@ -442,9 +451,7 @@ def verify_sys1_finite(
 # ``iter_bits`` walk per member and a sort.
 
 
-def enumerate_independent_set_events(
-    g: BaseGraph, l: int, p: float, guard: int = EVENT_ENUMERATION_GUARD
-) -> list[EventSpec]:
+def enumerate_independent_set_events(g: BaseGraph, l: int, p: float) -> list[EventSpec]:
     """One event per l-element vertex subset, in combinations order.
 
     Each event's edge set is the base edges inside the subset; subsets
@@ -456,6 +463,7 @@ def enumerate_independent_set_events(
     if not 1 <= l <= nv:
         raise ValueError(f"subset size {l} outside [1, {nv}]")
     total = comb(nv, l)
+    guard = model.EVENT_ENUMERATION_GUARD
     if total > guard:
         raise SizeGuardError(
             f"C({nv}, {l}) = {total} subsets exceed the enumeration guard {guard}"
@@ -491,8 +499,30 @@ def enumerate_independent_set_events(
 
 
 @dataclass
-class EventBlocks(model.EventBlocks):
-    """``model.EventBlocks`` holding the base graph's cycle blocks too."""
+class EventBlocks:
+    """The events of ``build_event_system(g, k, l, p)`` as arrays, in its order.
+
+    ``subsets`` holds every l-subset event in combinations order,
+    unavoidable ones included.  The avoidable ones come first, their edge
+    ids end to end in ``subset_ids`` with each one's start (and the last
+    one's end) in ``subset_starts``; then the base graph's cycles of length
+    3..k, block by block.
+    """
+
+    g: BaseGraph
+    k: int
+    subsets: list[EventSpec]
+
+    def __post_init__(self):
+        self.unavoidable = [ev for ev in self.subsets if ev.unavoidable]
+        avoidable = [ev for ev in self.subsets if not ev.unavoidable]
+        ids = [e for ev in avoidable for e in ev.variable_set]
+        self.subset_ids = np.array(ids, dtype=np.int64)
+        self.subset_starts = np.cumsum([0] + [len(ev.variable_set) for ev in avoidable])
+
+    @property
+    def feasible(self) -> bool:
+        return not self.unavoidable
 
     @cached_property
     def cycles(self) -> list[model.CycleBlock]:
@@ -500,8 +530,7 @@ class EventBlocks(model.EventBlocks):
 
     @cached_property
     def _offsets(self) -> np.ndarray:
-        avoidable = len(self.subsets) - len(self.unavoidable)
-        return np.cumsum([avoidable] + [len(b) for b in self.cycles])
+        return np.cumsum([len(self.subset_starts) - 1] + [len(b) for b in self.cycles])
 
     def __len__(self) -> int:
         return int(self._offsets[-1])
@@ -512,22 +541,24 @@ class EventBlocks(model.EventBlocks):
         A subset event occurs when none of its edges is kept, a cycle event
         when all of them are.
         """
-        parts = [self.subsets_occurring(kept)]
-        parts += [kept[b.edge_ids].all(axis=1) for b in self.cycles]
-        return np.concatenate(parts)
+        subsets = np.zeros(0, dtype=bool)
+        if len(self.subset_ids):
+            starts = self.subset_starts[:-1]
+            subsets = ~np.logical_or.reduceat(kept[self.subset_ids], starts)
+        return np.concatenate([subsets] + [kept[b.edge_ids].all(axis=1) for b in self.cycles])
 
     def variable_set(self, i: int) -> np.ndarray:
         """Ascending edge ids of event ``i``."""
         block = int(np.searchsorted(self._offsets, i, side="right"))
         if block == 0:
-            return self.subset_variable_set(i)
+            return self.subset_ids[self.subset_starts[i]:self.subset_starts[i + 1]]
         return self.cycles[block - 1].edge_ids[i - self._offsets[block - 1]]
 
 
-def event_blocks(g, k, l, p, guard=EVENT_ENUMERATION_GUARD) -> EventBlocks:
-    """``build_event_system`` with the rescan API above."""
-    built = build_event_system(g, k, l, p, guard)
-    return EventBlocks(built.g, built.k, built.p, built.subsets)
+def event_blocks(g, k, l, p) -> EventBlocks:
+    """``build_event_system(g, k, l, p)`` with the rescan API above."""
+    subsets = [] if l is None else model.enumerate_independent_set_events(g, l, p)
+    return EventBlocks(g, k, subsets)
 
 
 def moser_tardos_search(
@@ -537,12 +568,12 @@ def moser_tardos_search(
     l: int,
     max_resamples: int | None = None,
     subset_events: bool | str = "auto",
-    guard: int = EVENT_ENUMERATION_GUARD,
     alpha_budget=None,
 ) -> GirthCertificate | SearchFailure:
     """Resample the lowest-index violated event until none holds, then certify."""
     p = params.p
     nv = g.num_vertices
+    guard = model.EVENT_ENUMERATION_GUARD
     enumerable = l <= nv and math.comb(nv, l) <= guard
     if subset_events is True and l <= nv and not enumerable:
         return SearchFailure(
@@ -551,7 +582,7 @@ def moser_tardos_search(
             n=g.n, k=k, l=l, seed=params.seed,
         )
     subset_l = l if subset_events and enumerable else None
-    system = event_blocks(g, k, subset_l, p, guard)
+    system = event_blocks(g, k, subset_l, p)
     if not system.feasible:
         return SearchFailure(
             reason=f"{len(system.unavoidable)} l-subsets span no base edge "

@@ -50,6 +50,7 @@ from oracles import (
     chi_exhaustive,
     count_distinct_cycles,
     girth_exhaustive,
+    split_neighbors,
 )
 from test_lll import random_feasible_log_form_system
 
@@ -209,7 +210,7 @@ def test_criterion_08_dependency_bounds_dominate(g4):
         assert len(system) == 28
         on_subsets = dependency_count_bounds(1, 3, 3, 0).on_subsets
         for i, ev in enumerate(system.events):
-            split = system.split_neighbors(i)
+            split = split_neighbors(system, i)
             n_cycles = len(split.get((KIND_CYCLE, 3), ()))
             n_subsets = len(split.get((KIND_INDEPENDENT_SET, 3), ()))
             assert n_subsets <= on_subsets

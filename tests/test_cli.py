@@ -109,6 +109,14 @@ def test_events_refuses_oversized_cycle_systems(capsys):
     assert "exceed the enumeration guard 500000" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--p", "1.5"), ("--p", "-0.5"), ("--gamma", "1.2")])
+def test_events_refuses_probabilities_outside_the_unit_interval(capsys, flag, value):
+    code, out, err = run(capsys, "events", "--n", "1", "--k", "3", flag, value)
+    assert code == 1
+    assert out == ""
+    assert "must lie in" in err
+
+
 def test_solve_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.dimacs"
     bad.write_text("p edge 3 1\ne 1 x\n")
@@ -222,6 +230,29 @@ def test_lll_check_malformed_input(tmp_path, capsys):
                        "--recipe-multipliers")
     assert code == 1
     assert "events[0]" in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("variable_set", ["a", "b"], "events[0]: variable_set, members and meta must be integers"),
+    ("meta", "3", "events[0]: variable_set, members and meta must be integers"),
+    ("probability", "0.1", "events[0]: probability must be a number"),
+    ("probability", None, "events[0]: probability must be a number"),
+    ("p", "0.1", "p must be a number"),
+], ids=["variable_set", "meta", "probability", "null-probability", "p"])
+def test_lll_check_rejects_mistyped_fields(tmp_path, capsys, field, value, message):
+    event = {"kind": "cycle", "variable_set": [0, 1, 2], "meta": 3,
+             "probability": 0.001, "members": [0, 1, 2]}
+    doc = {"events": [event], "p": 0.1}
+    if field == "p":
+        doc["p"] = value
+    else:
+        event[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "lll-check", "--events", str(bad), "--recipe-multipliers")
+    assert code == 1
+    assert out == ""
+    assert f"{bad}: {message}" in err
 
 
 def test_lll_check_refuses_oversized_neighbourhoods(tmp_path, capsys, monkeypatch):
@@ -411,6 +442,41 @@ def test_export_json_normalizes(tmp_path, capsys):
     assert code == 0
     exported = tmp_path / "certificate-n1-k3.json"
     assert json.loads(exported.read_text()) == json.loads(cert_path.read_text())
+
+
+def test_export_keeps_the_size_guard(tmp_path, capsys, monkeypatch):
+    # a G_8 certificate under a guard of dimension 4 stands in for n = 5
+    # (G_20, 184,756 vertices) under the real guard of 16
+    import highgirth.graphs as graphs
+
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "search", "--n", "2", "--k", "4", "--p", "0.5", "--seed", "0",
+        "--method", "delete", "--out", str(cert_path))
+    monkeypatch.setattr(graphs, "DIMENSION_GUARD", 4)
+    code, out, err = run(capsys, "export", "--certificate", str(cert_path),
+                         "--out-dir", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "dimension 8 exceeds guard 4" in err
+    assert not (tmp_path / "certificate-n2-k4.dimacs").exists()
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [doc], "a certificate must be a JSON object"),
+    (lambda doc: {**doc, "n": "1"}, "certificate n must be an integer, got '1'"),
+    (lambda doc: {**doc, "k": 3.0}, "certificate k must be an integer, got 3.0"),
+    (lambda doc: {**doc, "l": None}, "certificate l must be an integer, got None"),
+], ids=["list", "string-n", "float-k", "null-l"])
+def test_export_rejects_malformed_certificates(tmp_path, capsys, edit, message):
+    cert_path = tmp_path / "cert.json"
+    run(capsys, "search", "--n", "1", "--k", "3", "--p", "0.5", "--seed", "2",
+        "--method", "delete", "--out", str(cert_path))
+    cert_path.write_text(json.dumps(edit(json.loads(cert_path.read_text()))))
+    code, out, err = run(capsys, "export", "--certificate", str(cert_path),
+                         "--out-dir", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_sample_with_gamma(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_bounds_dominate_on_g4(g4):
     system = EventSystem.from_events(events)
     on_x = dependency_count_bounds(1, 3, 3, 0).on_subsets
     for i, ev in enumerate(system.events):
-        split = system.split_neighbors(i)
+        split = oracles.split_neighbors(system, i)
         cycles = len(split.get((KIND_CYCLE, 3), ()))
         subsets = len(split.get((KIND_INDEPENDENT_SET, 3), ()))
         assert subsets <= on_x
@@ -177,7 +177,7 @@ def test_quad_subset_touches_at_most_eight_triangles(g4):
         i for i, ev in enumerate(system.events) if ev.members == quad
     )
     assert len(system.events[idx].variable_set) == 4
-    touched = len(system.split_neighbors(idx).get((KIND_CYCLE, 3), ()))
+    touched = len(oracles.split_neighbors(system, idx).get((KIND_CYCLE, 3), ()))
     assert touched <= 8 <= 64
 
 
@@ -191,7 +191,7 @@ def test_bounds_dominate_on_g8(g8):
     assert len(system) == 1260 + 7560
     bounds_a1 = dependency_count_bounds(2, 3, 2, 1)
     for i, ev in enumerate(system.events):
-        split = system.split_neighbors(i)
+        split = oracles.split_neighbors(system, i)
         cycles = len(split.get((KIND_CYCLE, 3), ()))
         subsets = len(split.get((KIND_INDEPENDENT_SET, 2), ()))
         assert subsets <= bounds_a1.on_subsets

@@ -33,7 +33,7 @@ from highgirth.model import (
 from highgirth.solvers import cycle_edges
 
 import oracles
-from oracles import occurring_events
+from oracles import occurring_events, occurs, split_neighbors
 
 
 def test_params_validation():
@@ -165,9 +165,10 @@ def test_subset_event_whole_vertex_set(g4):
     assert event.members == tuple(range(6))
 
 
-def test_subset_event_guard(g8):
+def test_subset_event_guard(g8, monkeypatch):
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 1000)
     with pytest.raises(SizeGuardError):
-        enumerate_independent_set_events(g8, 10, 0.3, guard=1000)
+        enumerate_independent_set_events(g8, 10, 0.3)
 
 
 def test_cycle_events_on_g4(g4):
@@ -231,22 +232,27 @@ def test_cycle_blocks_are_independent_of_the_step_size(g8, monkeypatch):
         assert np.array_equal(a.edge_ids, b.edge_ids)
 
 
-def test_cycle_guard_counts_every_length(g4):
+def test_cycle_guard_counts_every_length(g4, monkeypatch):
     # G_4 has 8 triangles and 15 quadrilaterals
-    assert [len(b) for b in cycle_blocks(g4, 4, guard=23)] == [8, 15]
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 23)
+    assert [len(b) for b in cycle_blocks(g4, 4)] == [8, 15]
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 22)
     with pytest.raises(SizeGuardError, match="3..4"):
-        cycle_blocks(g4, 4, guard=22)
+        cycle_blocks(g4, 4)
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 7)
     with pytest.raises(SizeGuardError):
-        cycle_blocks(g4, 3, guard=7)
+        cycle_blocks(g4, 3)
 
 
-def test_cycle_guard_bounds_open_paths():
+def test_cycle_guard_bounds_open_paths(monkeypatch):
     # K_{2,6}: 15 quadrilaterals, no 5-cycles, but 30 open 3-edge paths from
     # vertex 0 on the way to them
     g = Graph(8, [(a, b) for a in (0, 7) for b in range(1, 7)])
-    assert [len(b) for b in cycle_blocks(g, 5, guard=30)] == [0, 15, 0]
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 30)
+    assert [len(b) for b in cycle_blocks(g, 5)] == [0, 15, 0]
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 29)
     with pytest.raises(SizeGuardError, match="open paths from vertex 0 towards 5-cycles"):
-        cycle_blocks(g, 5, guard=29)
+        cycle_blocks(g, 5)
 
 
 def test_cycle_guard_refuses_g8_pentagons_early(g8):
@@ -258,7 +264,9 @@ def test_cycle_guard_refuses_g8_pentagons_early(g8):
 # --- the count pass and the kept-graph scan ---------------------------------
 
 
-def guard_message(fn, *args):
+def guard_message(monkeypatch, guard, fn, *args):
+    """The ``SizeGuardError`` message of ``fn(*args)`` under enumeration guard ``guard``."""
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", guard)
     with pytest.raises(SizeGuardError) as err:
         fn(*args)
     return str(err.value)
@@ -281,14 +289,16 @@ def test_count_matches_the_listed_blocks_on_random_graphs(data, k):
     assert count_cycle_blocks(g, k) == sum(map(len, cycle_blocks(g, k)))
 
 
-def test_count_raises_the_guard_errors_of_the_listing(g4, g8, g12):
+def test_count_raises_the_guard_errors_of_the_listing(g4, g8, g12, monkeypatch):
     k26 = Graph(8, [(a, b) for a in (0, 7) for b in range(1, 7)])
     cases = [(g4, 4, 22), (g4, 3, 7), (k26, 5, 29), (g8, 5, 500_000), (g12, 3, 500_000)]
     for g, k, guard in cases:
-        expected = guard_message(cycle_blocks, g, k, guard)
-        assert guard_message(count_cycle_blocks, g, k, guard) == expected
-    assert count_cycle_blocks(g4, 4, guard=23) == 23
-    assert count_cycle_blocks(k26, 5, guard=30) == 15
+        expected = guard_message(monkeypatch, guard, cycle_blocks, g, k)
+        assert guard_message(monkeypatch, guard, count_cycle_blocks, g, k) == expected
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 23)
+    assert count_cycle_blocks(g4, 4) == 23
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 30)
+    assert count_cycle_blocks(k26, 5) == 15
 
 
 def assert_kept_rows_are_the_surviving_rows(g, kept, k):
@@ -318,16 +328,17 @@ def test_kept_scan_lists_the_surviving_cycles_of_random_graphs(data, k, rnd):
     assert_kept_rows_are_the_surviving_rows(g, kept, k)
 
 
-def test_kept_scan_falls_back_to_one_root_at_a_time(g4):
+def test_kept_scan_falls_back_to_one_root_at_a_time(g4, monkeypatch):
     # all roots at once hold 25 open paths towards quadrilaterals, one root
     # at most 12: guard 23 takes the per-root loop and still lists all 23
     kept = np.ones(g4.num_edges, dtype=bool)
-    blocks = kept_cycle_blocks(g4, kept, 4, guard=23)
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 23)
+    blocks = kept_cycle_blocks(g4, kept, 4)
     for got, base in zip(blocks, cycle_blocks(g4, 4)):
         assert np.array_equal(got.members, base.members)
         assert np.array_equal(got.edge_ids, base.edge_ids)
-    assert guard_message(kept_cycle_blocks, g4, kept, 4, 22) == guard_message(
-        cycle_blocks, g4, 4, 22
+    assert guard_message(monkeypatch, 22, kept_cycle_blocks, g4, kept, 4) == guard_message(
+        monkeypatch, 22, cycle_blocks, g4, 4
     )
 
 
@@ -386,7 +397,7 @@ def test_mixed_system_dependencies_match_brute_force(g4):
         assert system.neighbors[i] == brute
     # split views partition the neighborhood
     for i in range(len(system)):
-        split = system.split_neighbors(i)
+        split = split_neighbors(system, i)
         merged = sorted(j for group in split.values() for j in group)
         assert merged == system.neighbors[i]
         assert set(split) <= {(KIND_INDEPENDENT_SET, 3), (KIND_CYCLE, 3)}
@@ -405,12 +416,12 @@ def test_event_occurrence_semantics(g4):
     mask = 0
     for i in tri.variable_set:
         mask |= 1 << i
-    assert tri.occurs(mask)
-    assert not tri.occurs(mask & (mask - 1))  # drop one edge
+    assert occurs(tri, mask)
+    assert not occurs(tri, mask & (mask - 1))  # drop one edge
     subset = enumerate_independent_set_events(g4, 3, 0.3)[0]
-    assert subset.occurs(0)  # nothing sampled: subset is independent
+    assert occurs(subset, 0)  # nothing sampled: subset is independent
     full = (1 << g4.num_edges) - 1
-    assert not subset.occurs(full)
+    assert not occurs(subset, full)
 
 
 def test_event_frequencies_match_probabilities(g4):
@@ -423,7 +434,7 @@ def test_event_frequencies_match_probabilities(g4):
     for seed in range(samples):
         sub = sample_subgraph(g4, ModelParams(n=1, p_override=p, seed=seed))
         for idx, ev in enumerate(events):
-            if ev.occurs(sub.mask):
+            if occurs(ev, sub.mask):
                 hits[idx] += 1
     for idx, ev in enumerate(events):
         sigma = math.sqrt(ev.probability * (1 - ev.probability) / samples)
@@ -446,7 +457,7 @@ def test_disjoint_events_factorize(g4):
     hits_a = hits_b = hits_both = 0
     for seed in range(samples):
         sub = sample_subgraph(g4, ModelParams(n=1, p_override=p, seed=seed))
-        occ_a, occ_b = a.occurs(sub.mask), b.occurs(sub.mask)
+        occ_a, occ_b = occurs(a, sub.mask), occurs(b, sub.mask)
         hits_a += occ_a
         hits_b += occ_b
         hits_both += occ_a and occ_b
@@ -458,7 +469,7 @@ def test_disjoint_events_factorize(g4):
 
 def test_neighbourhoods_refuse_past_the_term_bound(g8, monkeypatch):
     # the bound is the sum over edges of (events on the edge) ** 2
-    system = build_event_system(g8, 3, None, 0.05).to_system()
+    system = build_event_system(g8, 3, None, 0.05)
     per_edge = np.bincount([e for ev in system.events for e in ev.variable_set])
     assert int((per_edge**2).sum()) == 408_240 <= model.NEIGHBOR_TERM_GUARD
     monkeypatch.setattr(model, "NEIGHBOR_TERM_GUARD", 408_239)
@@ -488,7 +499,7 @@ def test_event_blocks_match_the_spec_system(g4, k, l):
     blocks = oracles.event_blocks(g4, k, l, p)
     events = [] if l is None else enumerate_independent_set_events(g4, l, p)
     reference = EventSystem.from_events(events + enumerate_cycle_events(g4, k, p))
-    system = blocks.to_system()
+    system = build_event_system(g4, k, l, p)
     assert system.to_json() == reference.to_json()
     assert len(blocks) == len(system)
     assert blocks.feasible == system.feasible
@@ -502,7 +513,7 @@ def test_event_blocks_match_the_spec_system(g4, k, l):
 @pytest.mark.parametrize("k,l", [(3, 3), (4, 4), (5, 2), (4, 6), (4, None)])
 def test_vectorised_occurrence_matches_scalar_scan(g4, k, l):
     blocks = oracles.event_blocks(g4, k, l, 0.5)
-    events = blocks.to_system().events
+    events = build_event_system(g4, k, l, 0.5).events
     rng = np.random.default_rng(k * 10 + (l or 0))
     masks = [0, (1 << g4.num_edges) - 1]
     masks += [int(m) for m in rng.integers(0, 1 << g4.num_edges, size=200)]
@@ -513,18 +524,22 @@ def test_vectorised_occurrence_matches_scalar_scan(g4, k, l):
         assert np.flatnonzero(occurring).tolist() == occurring_events(events, mask)
 
 
-def test_build_event_system_subset_events(g4, g8):
+def test_build_event_system_subset_events(g4, g8, monkeypatch):
     p = 0.1
-    assert len(build_event_system(g8, 3, 3, p).subsets) == 54_740
-    assert build_event_system(g8, 3, None, p).subsets == []
-    with pytest.raises(SizeGuardError):
-        build_event_system(g8, 3, 3, p, guard=10_000)
+    # C(70, 3) = 54,740 triples, 5,600 of them independent; 7,560 triangles
+    system = build_event_system(g8, 3, 3, p)
+    assert (len(system), len(system.unavoidable)) == (49_140 + 7_560, 5_600)
+    system = build_event_system(g8, 3, None, p)
+    assert (len(system), system.unavoidable) == (7_560, [])
     with pytest.raises(ValueError, match="outside"):
         build_event_system(g4, 3, 7, p)
-    assert build_event_system(g4, 2, None, p).to_system().events == []
+    assert build_event_system(g4, 2, None, p).events == []
     empty = oracles.event_blocks(g4, 2, None, p)
     assert len(empty) == 0
     assert empty.occurring(np.ones(g4.num_edges, dtype=bool)).shape == (0,)
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 10_000)
+    with pytest.raises(SizeGuardError):
+        build_event_system(g8, 3, 3, p)
 
 
 def subset_events_or_error(fn, g, l):

@@ -50,6 +50,10 @@ MT_DIGESTS = {
         "eea4ddd83d7b6ce3dd306eef1b8e389b39ac500f5512ee97b093c15965061678",
     "search --n 1 --k 3 --l 4 --p 0.5 --subset-events on --max-resamples 500":
         "6d52fc0dbd91413f36f60edb7c0abc7ed47d66648c90ecd7b48adbe3c1288d80",
+    "search --n 1 --k 3 --l 2 --p 0.5 --seed 0 --subset-events on":
+        "b2107e4423438f1b3b51346e0e60d8289d2df113cca06f5c96874846a0df03df",
+    "search --n 2 --k 3 --l 10 --p 0.1 --seed 0 --subset-events on":
+        "613f2a7163b32d14498bc0eb16243a9edb7b8cc63292a7136a8b2e291b1f775a",
 }
 
 
@@ -125,5 +129,14 @@ def test_moser_tardos_outputs_are_byte_identical(run):
     got["search --n 1 --k 3 --l 4 --p 0.5 --subset-events on --max-resamples 500"] = run(
         "search", "--n", "1", "--k", "3", "--l", "4", "--p", "0.5",
         "--subset-events", "on", "--max-resamples", "500",
+    )
+    # unavoidable subsets, and subsets past the enumeration guard
+    got["search --n 1 --k 3 --l 2 --p 0.5 --seed 0 --subset-events on"] = run(
+        "search", "--n", "1", "--k", "3", "--l", "2", "--p", "0.5", "--seed", "0",
+        "--subset-events", "on", code=2,
+    )
+    got["search --n 2 --k 3 --l 10 --p 0.1 --seed 0 --subset-events on"] = run(
+        "search", "--n", "2", "--k", "3", "--l", "10", "--p", "0.1", "--seed", "0",
+        "--subset-events", "on", code=2,
     )
     assert {name: digest(text) for name, text in got.items()} == MT_DIGESTS

@@ -21,6 +21,7 @@ from highgirth import (
     recheck_certificate,
     sample_subgraph,
 )
+from highgirth import model
 from highgirth.dimacs import dump_json
 
 import oracles
@@ -178,39 +179,42 @@ def test_mt_budget_exhaustion_reports_statistics(g4):
     assert out.violated_history[0] > 0
 
 
-def test_mt_respects_subset_guard(g8):
+def test_mt_respects_subset_guard(g8, monkeypatch):
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 100)
     out = moser_tardos_search(
         g8,
         ModelParams(n=2, p_override=0.1, seed=0),
         k=3,
         l=10,
         subset_events=True,
-        guard=100,
     )
     assert isinstance(out, SearchFailure)
     assert "guard" in out.reason
 
 
 def test_mt_subset_event_policy(g4, g8, monkeypatch):
-    # which l reaches the event builder: subset events come only when
+    # which l reaches the subset enumerator: subset events come only when
     # allowed, l <= N and C(N, l) fits the guard
     import highgirth.search as search
 
-    seen = []
-    real = search.build_event_system
+    calls = []
+    real = search.enumerate_independent_set_events
 
-    def spy(g, k, l, p, guard):
-        seen.append(l)
-        return real(g, k, l, p, guard)
+    def spy(g, l, p):
+        calls.append(l)
+        return real(g, l, p)
 
-    monkeypatch.setattr(search, "build_event_system", spy)
+    def subset_l(g, params, l, mode="auto"):
+        calls.clear()
+        moser_tardos_search(g, params, k=3, l=l, subset_events=mode, max_resamples=0)
+        return calls[0] if calls else None
+
+    monkeypatch.setattr(search, "enumerate_independent_set_events", spy)
     p4 = ModelParams(n=1, p_override=0.3, seed=1)
-    for mode in ("auto", True, False):
-        moser_tardos_search(g4, p4, k=3, l=7, subset_events=mode, max_resamples=0)
-    for mode in ("auto", True, False):
-        moser_tardos_search(g4, p4, k=3, l=4, subset_events=mode, max_resamples=0)
-    p8 = ModelParams(n=2, p_override=0.1, seed=0)
-    moser_tardos_search(g8, p8, k=3, l=10, guard=100, max_resamples=0)
+    seen = [subset_l(g4, p4, 7, mode) for mode in ("auto", True, False)]
+    seen += [subset_l(g4, p4, 4, mode) for mode in ("auto", True, False)]
+    # C(70, 10) is over the enumeration guard
+    seen.append(subset_l(g8, ModelParams(n=2, p_override=0.1, seed=0), 10))
     assert seen == [None, None, None, 4, 4, None, None]
 
 
