@@ -34,7 +34,6 @@ from .solvers import (
     chromatic_number,
     count_cycles,
     edges_within,
-    enumerate_cycles,
     family_girth_reduction,
     girth,
     independence_number,
@@ -91,7 +90,7 @@ __all__ = [
     # solvers
     "CycleCount", "FamilyReduction", "ForestError", "RatioBound",
     "SolveBudget", "SolveResult", "chromatic_lower_bound_ratio",
-    "chromatic_number", "count_cycles", "edges_within", "enumerate_cycles",
+    "chromatic_number", "count_cycles", "edges_within",
     "family_girth_reduction", "girth", "independence_number",
     "min_edges_over_subsets",
     # model

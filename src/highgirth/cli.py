@@ -213,6 +213,8 @@ def cmd_lll_check(args) -> int:
                 style=assignment_doc["style"],
                 multipliers=tuple(assignment_doc["multipliers"]),
             )
+            if any(type(m) not in (int, float) for m in assignment.multipliers):
+                raise ValueError("multipliers must be numbers")
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"{args.assignment}: {exc}") from None
         probs = system.probabilities

@@ -14,12 +14,16 @@ sets, so two events are dependent exactly when their edge sets intersect.
 
 Storage: cycle events live in ``CycleBlock`` arrays, one int32 block per
 length s holding the canonical vertex tuples and the ascending edge ids.
-One path-growth kernel serves three uses: ``cycle_blocks`` lists a
-graph's cycles root by root, ``count_cycle_blocks`` counts them without
-listing them (a popcount closes each path), and ``kept_cycle_blocks``
-lists the cycles of a kept-edge subgraph, all roots at once, with the
-base edge ids.  Those rows are exactly the base cycle events occurring on
-the subgraph, in event order, which is all a resampling search needs.
+One path-growth kernel, ``_PathKernel``, is the package's only cycle
+enumerator.  Its ``cycle_rows`` lists a graph's s-cycles, all roots in one
+batch when they fit the guard and otherwise root by root.
+``cycle_blocks`` joins those rows for the base graph, and
+``kept_cycle_blocks`` for a kept-edge subgraph, with the base edge ids:
+those rows are exactly the base cycle events occurring on the subgraph, in
+event order, which is all a resampling search needs.  The deletion search
+walks the same rows with no guard on their total, and
+``count_cycle_blocks`` and ``solvers.count_cycles`` count cycles root by
+root without listing them (a popcount closes each path).
 Cycle ``EventSpec`` lists are only materialised by
 ``enumerate_cycle_events``, for ``build_event_system``: the one builder of
 the ``EventSystem`` that JSON, the dependency structure and the LLL checks
@@ -225,10 +229,11 @@ def enumerate_independent_set_events(g: BaseGraph, l: int, p: float) -> list[Eve
 
 @dataclass(frozen=True)
 class CycleBlock:
-    """Every s-cycle of a graph as int32 rows, in ``enumerate_cycles`` order.
+    """Every s-cycle of a graph as int32 rows, in lexicographic order.
 
-    ``members[i]`` is the i-th canonical vertex tuple; ``edge_ids[i]`` the
-    base edge indices of that cycle, ascending.
+    ``members[i]`` is the i-th canonical vertex tuple: it starts at the
+    cycle's smallest vertex, and its second vertex is below its last.
+    ``edge_ids[i]`` holds the base edge indices of that cycle, ascending.
     """
 
     s: int
@@ -242,27 +247,23 @@ class CycleBlock:
 def cycle_blocks(g: Graph, k: int) -> list[CycleBlock]:
     """One block per cycle length 3..k, rows in canonical lexicographic order.
 
-    Paths grow root by root over a dense edge-id matrix; each path expands
-    into its candidates in ascending order and its children stay
-    contiguous, which reproduces ``enumerate_cycles`` row for row.  Cycles
-    are counted as each root finishes, and ``SizeGuardError`` is raised
-    before the running total (over all lengths) or the open paths of one
-    root pass ``EVENT_ENUMERATION_GUARD``.
+    The rows come from ``_PathKernel.cycle_rows``, whose paths expand into
+    their candidates in ascending order with their children contiguous.
+    ``SizeGuardError`` is raised before the running total of cycles (over
+    all lengths) or the open paths of one root pass
+    ``EVENT_ENUMERATION_GUARD``.
     """
-    return _cycle_blocks(_PathKernel(_edge_id_matrix(g)), k, batch=False)
+    return _cycle_blocks(_PathKernel(g), k)
 
 
 def kept_cycle_blocks(g: Graph, kept: np.ndarray, k: int) -> list[CycleBlock]:
     """``cycle_blocks`` of the subgraph keeping the edges flagged in ``kept``.
 
     The edge ids are those of ``g``, so the rows are exactly the cycles of
-    ``g`` that survive in the subgraph, in the same relative order.  The
-    paths of every root grow at once, which on a sparse subgraph is far
-    cheaper than a loop over roots; a length whose paths pass
-    ``EVENT_ENUMERATION_GUARD`` rows that way is enumerated root by root
-    instead, with the guard of ``cycle_blocks``.
+    ``g`` that survive in the subgraph, in the same relative order, with
+    the guard of ``cycle_blocks``.
     """
-    return _cycle_blocks(_PathKernel(_edge_id_matrix(g, kept)), k, batch=True)
+    return _cycle_blocks(_PathKernel(g, kept), k)
 
 
 def count_cycle_blocks(g: Graph, k: int) -> int:
@@ -272,47 +273,32 @@ def count_cycle_blocks(g: Graph, k: int) -> int:
     step is a popcount of packed adjacency words, so ``SizeGuardError``
     comes with the same message at the same point.
     """
-    kernel = _PathKernel(_edge_id_matrix(g))
+    kernel = _PathKernel(g)
     guard = EVENT_ENUMERATION_GUARD
     total = 0
     for s in range(3, k + 1):
-        for root in range(kernel.num_vertices):
-            total += kernel.count_closing(kernel.root_paths(s, root, guard))
+        for count in kernel.root_counts(s):
+            total += count
             if total > guard:
                 raise _too_many_cycles(k, guard)
     return total
 
 
-def _cycle_blocks(kernel, k, batch):
-    """The blocks of lengths 3..k; with ``batch``, all roots grow at once."""
+def _cycle_blocks(kernel, k):
+    """The blocks of lengths 3..k, under the running-total guard."""
     guard = EVENT_ENUMERATION_GUARD
     total = 0
     blocks = []
     for s in range(3, k + 1):
-        rows = None
-        if batch:
-            paths = kernel.open_paths(kernel.starts(), s, guard)
-            if paths is not None:
-                rows = kernel.grow(paths, guard - total, close=True)
-        if rows is None:
-            rows = _cycles_by_root(kernel, s, k, guard, total)
-        total += len(rows)
-        edge_ids = kernel.eid[rows, np.roll(rows, -1, axis=1)]
-        edge_ids.sort(axis=1)
-        blocks.append(CycleBlock(s, rows, edge_ids))
+        found = [np.empty((0, s), np.int32)]
+        for rows in kernel.cycle_rows(s, k):
+            total += len(rows)
+            if total > guard:
+                raise _too_many_cycles(k, guard)
+            found.append(rows)
+        rows = np.concatenate(found)
+        blocks.append(CycleBlock(s, rows, kernel.edge_ids(rows)))
     return blocks
-
-
-def _cycles_by_root(kernel, s, k, guard, total):
-    """Every s-cycle, root by root; ``total`` cycles of shorter lengths came first."""
-    found = [np.empty((0, s), np.int32)]
-    for root in range(kernel.num_vertices):
-        cycles = kernel.grow(kernel.root_paths(s, root, guard), guard - total, close=True)
-        if cycles is None:
-            raise _too_many_cycles(k, guard)
-        total += len(cycles)
-        found.append(cycles)
-    return np.concatenate(found)
 
 
 def _too_many_cycles(k, guard):
@@ -322,15 +308,17 @@ def _too_many_cycles(k, guard):
 class _PathKernel:
     """The path-growth kernel of the cycle enumerator, over one graph.
 
-    A path is an int32 row (root, v1, .., vm) of distinct vertices, all
+    The graph is ``g``, or with a boolean ``kept`` over its edges the
+    subgraph of the flagged edges; edge ids are always those of ``g``.  A
+    path is an int32 row (root, v1, .., vm) of distinct vertices, all
     above the root.  ``grow`` extends paths one vertex at a time, each
     into its candidates in ascending order with its children contiguous,
     so rows stay in lexicographic order whenever the paths they grew from
     were.
     """
 
-    def __init__(self, eid: np.ndarray):
-        self.eid = eid
+    def __init__(self, g: Graph, kept: np.ndarray | None = None):
+        eid = self.eid = _edge_id_matrix(g, kept)
         self.num_vertices = len(eid)
         self.adjacent = eid >= 0
         self.indptr = np.concatenate(([0], np.cumsum(self.adjacent.sum(axis=1))))
@@ -357,8 +345,42 @@ class _PathKernel:
                 break
         return paths
 
-    def root_paths(self, s, root, guard):
-        """One root's open paths towards s-cycles; ``SizeGuardError`` past ``guard``."""
+    def cycle_rows(self, s, k):
+        """Yield the s-cycle rows of the graph, in lexicographic order.
+
+        All roots come in one batch when their open paths and rows stay
+        within ``EVENT_ENUMERATION_GUARD``; otherwise each root comes on
+        its own, bounded the same way, so memory stays bounded without a
+        guard on the total.  A root with too many rows raises the
+        cycles-of-length-3..k error; too many open paths, the open-path one.
+        """
+        guard = EVENT_ENUMERATION_GUARD
+        paths = self.open_paths(self.starts(), s, guard)
+        rows = None if paths is None else self.grow(paths, guard, close=True)
+        if rows is not None:
+            yield rows
+            return
+        for root in range(self.num_vertices):
+            rows = self.grow(self.root_paths(s, root), guard, close=True)
+            if rows is None:
+                raise _too_many_cycles(k, guard)
+            yield rows
+
+    def root_counts(self, s):
+        """Yield the number of s-cycles of each root in turn; open paths as in
+        ``cycle_rows``."""
+        for root in range(self.num_vertices):
+            yield self.count_closing(self.root_paths(s, root))
+
+    def edge_ids(self, rows):
+        """The ascending edge ids of each cycle row."""
+        edge_ids = self.eid[rows, np.roll(rows, -1, axis=1)]
+        edge_ids.sort(axis=1)
+        return edge_ids
+
+    def root_paths(self, s, root):
+        """One root's open paths towards s-cycles; ``SizeGuardError`` past the guard."""
+        guard = EVENT_ENUMERATION_GUARD
         paths = self.open_paths(self.starts(root), s, guard)
         if paths is None:
             raise SizeGuardError(

@@ -11,8 +11,10 @@ Two strategies produce certified subgraphs of a base graph:
   events; the base graph's cycles are only counted, once per search
   (``model.count_cycle_blocks``), for the guard and the default budget.
 * deletion method: draw once, then repeatedly find the canonically first
-  shortest cycle of length <= k (``solvers.iter_cycles``) and delete its
-  smallest edge; termination and the girth guarantee are unconditional.
+  shortest cycle of length <= k and delete its smallest edge; termination
+  and the girth guarantee are unconditional.  Each length's cycles are
+  listed once, from the kept graph (``model._PathKernel.cycle_rows``), and
+  walked in order, skipping those a deletion already broke.
 
 Either way the result is only ever reported through ``certify``, which
 re-verifies girth and independence with the exact solvers and refuses to
@@ -35,6 +37,7 @@ from . import __version__, model
 from .graphs import BaseGraph, EdgeSubset, Graph
 from .model import (
     ModelParams,
+    _PathKernel,
     _pack_mask,
     _stream,
     count_cycle_blocks,
@@ -47,7 +50,6 @@ from .solvers import (
     SolveResult,
     girth,
     independence_number,
-    iter_cycles,
 )
 
 
@@ -116,6 +118,10 @@ class GirthCertificate:
         for key in ("n", "k", "l"):
             if type(doc[key]) is not int:
                 raise ValueError(f"certificate {key} must be an integer, got {doc[key]!r}")
+        if type(doc["edge_mask_hex"]) is not str:
+            raise ValueError(
+                f"certificate edge_mask_hex must be a string, got {doc['edge_mask_hex']!r}"
+            )
         girth_value = doc["girth"]
         gamma_or_p = doc.get("gamma_or_p", {})
         return cls(
@@ -399,28 +405,19 @@ def deletion_method(
     comes back as a ``SearchFailure`` with l = 0.
     """
     sub = sample_subgraph(g, params)
-    adj = [0] * g.num_vertices
-    mask = sub.mask
-    for u, v in g.edge_array[sub.edge_indices()].tolist():
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    kept = np.zeros(g.num_edges, dtype=bool)
+    kept[sub.edge_indices()] = True
+    alive = bytearray(kept)  # per-edge lookups read a bytearray fastest
     for s in range(3, k + 1):
-        root = 0
-        while True:
-            cycle = next(iter_cycles(adj, s, root), None)
-            if cycle is None:
-                break
-            root = cycle[0]  # deletions never create cycles at earlier roots
-            edge_ids = []
-            for i, u in enumerate(cycle):
-                v = cycle[(i + 1) % s]
-                edge_ids.append(g.edge_index(u, v))
-            drop = min(edge_ids)
-            a, b = g.edge_array[drop].tolist()
-            adj[a] &= ~(1 << b)
-            adj[b] &= ~(1 << a)
-            mask &= ~(1 << drop)
-    final = EdgeSubset(g, mask)
+        # the s-cycles of the graph kept so far, in canonical order; a row
+        # stays a cycle while all its edges are kept, and deletions create
+        # no cycle, so the first such row is the first s-cycle left
+        kernel = _PathKernel(g, np.frombuffer(alive, dtype=bool))
+        for rows in kernel.cycle_rows(s, k):
+            for edge_ids in kernel.edge_ids(rows).tolist():
+                if all(map(alive.__getitem__, edge_ids)):
+                    alive[edge_ids[0]] = 0
+    final = EdgeSubset(g, _pack_mask(np.frombuffer(alive, dtype=bool)))
     graph = final.to_graph()
     alpha_result = independence_number(graph, alpha_budget)
     try:

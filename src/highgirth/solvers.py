@@ -19,6 +19,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
+from .model import _PathKernel
 
 #: Largest cycle length enumerated by default.
 MAX_CYCLE_LENGTH = 8
@@ -191,51 +192,6 @@ def _reconstruct_cycle(parent: dict, u: int, w: int) -> list[int] | None:
     return path_u + path_w[:0:-1]  # root .. u, w .. (just after root)
 
 
-def enumerate_cycles(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
-    """Yield every distinct s-cycle of ``g`` exactly once, as vertex tuples.
-
-    Canonical form: the tuple starts at the cycle's smallest vertex, and
-    its second vertex is smaller than its last (killing the reflection).
-    Tuples are produced in lexicographic order; downstream event indexing
-    relies on this order being stable.
-    """
-    if s < 3:
-        raise ValueError(f"cycle length must be >= 3, got {s}")
-    yield from iter_cycles(g.adj, s)
-
-
-def iter_cycles(
-    adj: list[int], s: int, start_root: int = 0
-) -> Iterator[tuple[int, ...]]:
-    """Canonical s-cycles of a bitmask adjacency list, lexicographically.
-
-    Only cycles whose smallest vertex is at least ``start_root`` come out,
-    so a caller that edits ``adj`` between cycles can resume where earlier
-    roots are known to be exhausted.
-    """
-    for root in range(start_root, len(adj)):
-        above_root = -1 << (root + 1)
-        for v1 in iter_bits(adj[root] & above_root):
-            yield from _extend_cycle(adj, root, [root, v1], (1 << root) | (1 << v1), s)
-
-
-def _extend_cycle(
-    adj: list[int], root: int, path: list[int], used: int, s: int
-) -> Iterator[tuple[int, ...]]:
-    v = path[-1]
-    above_root = -1 << (root + 1)
-    if len(path) == s - 1:
-        # close the cycle: adjacent to both ends, above the reflection bound
-        closing = adj[v] & adj[root] & above_root & ~used & (-1 << (path[1] + 1))
-        for w in iter_bits(closing):
-            yield tuple(path) + (w,)
-        return
-    for w in iter_bits(adj[v] & above_root & ~used):
-        path.append(w)
-        yield from _extend_cycle(adj, root, path, used | (1 << w), s)
-        path.pop()
-
-
 class CycleCount(NamedTuple):
     labeled: int
     distinct: int
@@ -245,12 +201,14 @@ def count_cycles(view, s: int, max_s: int = MAX_CYCLE_LENGTH) -> CycleCount:
     """Count s-cycles: labeled (rooted, directed) and distinct edge sets.
 
     Every distinct cycle corresponds to exactly 2s labeled ones (s roots,
-    2 directions).
+    2 directions).  The distinct cycles are counted root by root on the
+    cycle enumerator's kernel, so only one root's open paths are held;
+    more than ``model.EVENT_ENUMERATION_GUARD`` of them raise
+    ``SizeGuardError``.
     """
     if not 3 <= s <= max_s:
         raise ValueError(f"cycle length {s} outside [3, {max_s}]")
-    g = as_graph(view)
-    distinct = sum(1 for _ in enumerate_cycles(g, s))
+    distinct = sum(_PathKernel(as_graph(view)).root_counts(s))
     return CycleCount(labeled=2 * s * distinct, distinct=distinct)
 
 

@@ -14,12 +14,12 @@ from itertools import combinations, permutations, product
 
 import math
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from highgirth import model
-from highgirth.graphs import BaseGraph, EdgeSubset, SizeGuardError, iter_bits
+from highgirth.graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
 from highgirth.lll import (
     DEFAULT_TOL,
     HYPOTHESIS_CAP,
@@ -38,14 +38,25 @@ from highgirth.model import (
     _pack_mask,
     _stream,
     cycle_blocks,
+    sample_subgraph,
 )
 from highgirth.search import (
     CertificationError,
     GirthCertificate,
     SearchFailure,
+    _certificate,
+    _girth_above,
     certify,
 )
-from highgirth.solvers import SolveResult, _Budget, _Exhausted, _reconstruct_cycle, as_graph
+from highgirth.solvers import (
+    SolveBudget,
+    SolveResult,
+    _Budget,
+    _Exhausted,
+    _reconstruct_cycle,
+    as_graph,
+    independence_number,
+)
 
 
 def edge_set(edges):
@@ -98,6 +109,118 @@ def count_distinct_cycles(num_vertices, edges, s):
             ):
                 count += 1
     return count
+
+
+# --- the former cycle enumerator -------------------------------------------
+#
+# A recursive bitmask generator, and the deletion search that ran on it,
+# before both moved onto ``model._PathKernel``.  They stay the reference
+# for canonical cycle order and for the deletion method's output.
+
+
+def enumerate_cycles(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
+    """Yield every distinct s-cycle of ``g`` exactly once, as vertex tuples.
+
+    Canonical form: the tuple starts at the cycle's smallest vertex, and
+    its second vertex is smaller than its last (killing the reflection).
+    Tuples are produced in lexicographic order; downstream event indexing
+    relies on this order being stable.
+    """
+    if s < 3:
+        raise ValueError(f"cycle length must be >= 3, got {s}")
+    yield from iter_cycles(g.adj, s)
+
+
+def iter_cycles(
+    adj: list[int], s: int, start_root: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Canonical s-cycles of a bitmask adjacency list, lexicographically.
+
+    Only cycles whose smallest vertex is at least ``start_root`` come out,
+    so a caller that edits ``adj`` between cycles can resume where earlier
+    roots are known to be exhausted.
+    """
+    for root in range(start_root, len(adj)):
+        above_root = -1 << (root + 1)
+        for v1 in iter_bits(adj[root] & above_root):
+            yield from _extend_cycle(adj, root, [root, v1], (1 << root) | (1 << v1), s)
+
+
+def _extend_cycle(
+    adj: list[int], root: int, path: list[int], used: int, s: int
+) -> Iterator[tuple[int, ...]]:
+    v = path[-1]
+    above_root = -1 << (root + 1)
+    if len(path) == s - 1:
+        # close the cycle: adjacent to both ends, above the reflection bound
+        closing = adj[v] & adj[root] & above_root & ~used & (-1 << (path[1] + 1))
+        for w in iter_bits(closing):
+            yield tuple(path) + (w,)
+        return
+    for w in iter_bits(adj[v] & above_root & ~used):
+        path.append(w)
+        yield from _extend_cycle(adj, root, path, used | (1 << w), s)
+        path.pop()
+
+
+
+def deletion_method(
+    g: BaseGraph,
+    params: ModelParams,
+    k: int,
+    alpha_budget: SolveBudget | None = None,
+) -> GirthCertificate | SearchFailure:
+    """Sample once, then delete one edge per short cycle until girth > k.
+
+    Cycles are destroyed shortest first; each round removes the smallest
+    edge (by canonical index) of the canonically first shortest cycle, so
+    a fixed seed always yields the same subgraph.  Afterwards the exact
+    independence number becomes the certificate's bound l; that one exact
+    solve both picks l and certifies it, together with a girth check of the
+    same graph.  Terminates unconditionally: every deletion kills at least
+    one short cycle.  An exhausted alpha budget or a refused certification
+    comes back as a ``SearchFailure`` with l = 0.
+    """
+    sub = sample_subgraph(g, params)
+    adj = [0] * g.num_vertices
+    mask = sub.mask
+    for u, v in g.edge_array[sub.edge_indices()].tolist():
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for s in range(3, k + 1):
+        root = 0
+        while True:
+            cycle = next(iter_cycles(adj, s, root), None)
+            if cycle is None:
+                break
+            root = cycle[0]  # deletions never create cycles at earlier roots
+            edge_ids = []
+            for i, u in enumerate(cycle):
+                v = cycle[(i + 1) % s]
+                edge_ids.append(g.edge_index(u, v))
+            drop = min(edge_ids)
+            a, b = g.edge_array[drop].tolist()
+            adj[a] &= ~(1 << b)
+            adj[b] &= ~(1 << a)
+            mask &= ~(1 << drop)
+    final = EdgeSubset(g, mask)
+    graph = final.to_graph()
+    alpha_result = independence_number(graph, alpha_budget)
+    try:
+        if not alpha_result.exact:
+            raise CertificationError(
+                "independence solve exhausted its budget; cannot pick a "
+                "certified bound l"
+            )
+        return _certificate(
+            final, k, int(alpha_result.value), _girth_above(graph, k),
+            alpha_result, seed=params.seed, gamma=params.gamma, p=params.p,
+        )
+    except CertificationError as exc:
+        return SearchFailure(
+            reason=exc.reason, n=g.n, k=k, l=0, seed=params.seed,
+            witness=exc.witness,
+        )
 
 
 def edges_within_exhaustive(edges, subset):

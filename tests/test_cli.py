@@ -255,6 +255,21 @@ def test_lll_check_rejects_mistyped_fields(tmp_path, capsys, field, value, messa
     assert f"{bad}: {message}" in err
 
 
+@pytest.mark.parametrize("multipliers", [["0.5", 0.5], [None, 0.5]], ids=["string", "null"])
+def test_lll_check_rejects_non_numeric_multipliers(tmp_path, capsys, multipliers):
+    events_path = tmp_path / "events.json"
+    event = {"kind": "cycle", "variable_set": [0, 1, 2], "meta": 3,
+             "probability": 0.001, "members": [0, 1, 2]}
+    events_path.write_text(json.dumps({"events": [event, event], "p": 0.1}))
+    bad = tmp_path / "assignment.json"
+    bad.write_text(json.dumps({"style": "general", "multipliers": multipliers}))
+    code, out, err = run(capsys, "lll-check", "--events", str(events_path),
+                         "--assignment", str(bad))
+    assert code == 1
+    assert out == ""
+    assert f"{bad}: multipliers must be numbers" in err
+
+
 def test_lll_check_refuses_oversized_neighbourhoods(tmp_path, capsys, monkeypatch):
     import highgirth.model as model
 
@@ -466,7 +481,9 @@ def test_export_keeps_the_size_guard(tmp_path, capsys, monkeypatch):
     (lambda doc: {**doc, "n": "1"}, "certificate n must be an integer, got '1'"),
     (lambda doc: {**doc, "k": 3.0}, "certificate k must be an integer, got 3.0"),
     (lambda doc: {**doc, "l": None}, "certificate l must be an integer, got None"),
-], ids=["list", "string-n", "float-k", "null-l"])
+    (lambda doc: {**doc, "edge_mask_hex": 5},
+     "certificate edge_mask_hex must be a string, got 5"),
+], ids=["list", "string-n", "float-k", "null-l", "int-mask"])
 def test_export_rejects_malformed_certificates(tmp_path, capsys, edit, message):
     cert_path = tmp_path / "cert.json"
     run(capsys, "search", "--n", "1", "--k", "3", "--p", "0.5", "--seed", "2",

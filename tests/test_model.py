@@ -16,7 +16,6 @@ from highgirth import (
     cycle_blocks,
     derive_seed,
     enumerate_cycle_events,
-    enumerate_cycles,
     enumerate_independent_set_events,
     log_probability,
     sample_subgraph,
@@ -33,7 +32,7 @@ from highgirth.model import (
 from highgirth.solvers import cycle_edges
 
 import oracles
-from oracles import occurring_events, occurs, split_neighbors
+from oracles import enumerate_cycles, occurring_events, occurs, split_neighbors
 
 
 def test_params_validation():

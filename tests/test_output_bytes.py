@@ -2,7 +2,8 @@
 
 Each digest is the SHA-256 of a command's output, recorded before the code
 that produces it was rewritten (the JSON encoder; the Local Lemma checkers
-and the deletion search's failure path; the Moser-Tardos event scan), so
+and the deletion search's failure path; the Moser-Tardos event scan; the
+cycle listing behind deletion and ``solve --what cycles``), so
 any later change to encoding or to the numbers has to show byte identity
 here, not just claim it.
 """
@@ -54,6 +55,17 @@ MT_DIGESTS = {
         "b2107e4423438f1b3b51346e0e60d8289d2df113cca06f5c96874846a0df03df",
     "search --n 2 --k 3 --l 10 --p 0.1 --seed 0 --subset-events on":
         "613f2a7163b32d14498bc0eb16243a9edb7b8cc63292a7136a8b2e291b1f775a",
+}
+
+CYCLE_DIGESTS = {
+    "solve --what cycles --s 3 (G_8)":
+        "bb433bb445bfcc0a17beba2f2f827b38f038d209e0bb4021e1566ea5fabe9166",
+    "solve --what cycles --s 4 (G_8)":
+        "da9e3d41af2845943721a596e1491db25373e0e58d82e716e175c11abdf021a4",
+    "search --n 2 --k 6 --p 0.4 --seed 0 --method delete":
+        "3acdf8a74ab507bd62a0085ff022bf3bda3c01453895209f9e262ce850d1249f",
+    "certify (the k = 6 deletion certificate)":
+        "ac4ebe8363e6323086f622f1f89968355b244a939e140c4fdeb13fd14ed90cf1",
 }
 
 
@@ -140,3 +152,19 @@ def test_moser_tardos_outputs_are_byte_identical(run):
         "--subset-events", "on", code=2,
     )
     assert {name: digest(text) for name, text in got.items()} == MT_DIGESTS
+
+
+def test_cycle_listing_outputs_are_byte_identical(run):
+    got = {}
+    run("gen", "--n", "2")
+    for s in ("3", "4"):
+        got[f"solve --what cycles --s {s} (G_8)"] = run(
+            "solve", "--graph", "g8.dimacs", "--what", "cycles", "--s", s
+        )
+    cert = run("search", "--n", "2", "--k", "6", "--p", "0.4", "--seed", "0", "--method", "delete")
+    got["search --n 2 --k 6 --p 0.4 --seed 0 --method delete"] = cert
+    doc = json.loads(cert)
+    got["certify (the k = 6 deletion certificate)"] = run(
+        "certify", "--n", "2", "--mask-hex", doc["edge_mask_hex"], "--k", "6", "--l", str(doc["l"])
+    )
+    assert {name: digest(text) for name, text in got.items()} == CYCLE_DIGESTS

@@ -15,8 +15,8 @@ from highgirth import (
     chromatic_lower_bound_ratio,
     chromatic_number,
     count_cycles,
+    cycle_blocks,
     edges_within,
-    enumerate_cycles,
     family_girth_reduction,
     girth,
     independence_number,
@@ -28,7 +28,6 @@ from highgirth.model import ModelParams, sample_subgraph
 from highgirth.search import deletion_method
 from highgirth.solvers import (
     _Budget,
-    iter_cycles,
     verify_coloring,
     verify_cycle,
     verify_independent_set,
@@ -200,8 +199,15 @@ def test_count_cycles_trivia():
     assert count_cycles(cycle_graph(9), 9, max_s=9).distinct == 1
 
 
+def test_count_cycles_on_g12(g12):
+    assert count_cycles(g12, 3).distinct == 10_102_400
+    # one root's open paths towards pentagons already pass the guard
+    with pytest.raises(SizeGuardError, match="open paths from vertex 0 towards 5-cycles"):
+        count_cycles(g12, 5)
+
+
 def test_enumerated_cycles_are_canonical_and_sorted(g4):
-    triangles = list(enumerate_cycles(g4, 3))
+    triangles = [tuple(row) for row in cycle_blocks(g4, 3)[0].members.tolist()]
     assert len(triangles) == 8
     assert triangles == sorted(triangles)
     for cyc in triangles:
@@ -211,9 +217,9 @@ def test_enumerated_cycles_are_canonical_and_sorted(g4):
 
 
 def test_iter_cycles_resumes_at_a_root(g8):
-    quads = list(enumerate_cycles(g8, 4))
+    quads = list(oracles.enumerate_cycles(g8, 4))
     for root in (0, 1, 17, 69, 70):
-        assert list(iter_cycles(g8.adj, 4, root)) == [c for c in quads if c[0] >= root]
+        assert list(oracles.iter_cycles(g8.adj, 4, root)) == [c for c in quads if c[0] >= root]
 
 
 @given(edge_subsets, st.integers(min_value=3, max_value=6))
