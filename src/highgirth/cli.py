@@ -111,7 +111,7 @@ def _budget(args) -> SolveBudget:
 
 
 def cmd_gen(args) -> int:
-    graph = build_base_graph(args.n, allow_large=args.allow_large)
+    graph = build_base_graph(args.n)
     out = _output_dir(args)
     dimacs_path = out / f"g{graph.dimension}.dimacs"
     vertices_path = out / f"g{graph.dimension}.vertices.json"
@@ -138,7 +138,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    g = build_base_graph(args.n, allow_large=args.allow_large)
+    g = build_base_graph(args.n)
     params = _model_params(args, args.n)
     sub = sample_subgraph(g, params)
     out = _output_dir(args)
@@ -159,7 +159,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_events(args) -> int:
-    g = build_base_graph(args.n, allow_large=args.allow_large)
+    g = build_base_graph(args.n)
     p = _edge_probability(args, args.n)
     system = build_event_system(g, args.k, args.l, p)
     doc = {"n": args.n, "p": p, "l": args.l, "k": args.k, **system.to_json()}
@@ -282,7 +282,7 @@ def cmd_scan(args) -> int:
 
 def _search_once(args, seed: int) -> GirthCertificate | SearchFailure:
     """One search restart; module-level so process pools can run it."""
-    g = build_base_graph(args.n, allow_large=args.allow_large)
+    g = build_base_graph(args.n)
     params = ModelParams(n=args.n, gamma=args.gamma, seed=seed, p_override=args.p)
     if args.method == "delete":
         return deletion_method(g, params, args.k, alpha_budget=_budget(args))
@@ -346,7 +346,7 @@ def _subset_from_args(args, g) -> EdgeSubset:
 
 
 def cmd_certify(args) -> int:
-    g = build_base_graph(args.n, allow_large=args.allow_large)
+    g = build_base_graph(args.n)
     sub = _subset_from_args(args, g)
     try:
         cert = certify(sub, args.k, args.l, alpha_budget=_budget(args))
@@ -396,7 +396,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub("gen", "write a base graph as DIMACS plus a vertex JSON")
     p.add_argument("--n", type=int, required=True, help="quarter-dimension")
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_gen)
 
     p = sub("solve", "run an exact solver on a DIMACS graph")
@@ -414,7 +413,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_sample)
 
     p = sub("events", "enumerate bad events and their dependencies")
@@ -424,7 +422,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=cmd_events)
 
     p = sub("lll-check", "check a Local Lemma condition on an event system")
@@ -472,7 +469,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--jobs", type=int, default=1,
                    help="restart parallelism (restarts stay seed-ordered)")
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_search)
 
@@ -483,7 +479,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
     _add_budget_flags(p)
     p.set_defaults(func=cmd_certify)
 
@@ -532,11 +527,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
     try:
-        if argv and argv[0] in registry and "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 < len(argv):
-                _apply_config(registry[argv[0]], _load_config(argv[idx + 1]))
         args = parser.parse_args(argv)
+        if args.config:  # its values become defaults, so a second parse lets flags win
+            _apply_config(registry[args.command], _load_config(args.config))
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

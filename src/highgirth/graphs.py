@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-#: Refuse full materialization above this many coordinates unless overridden.
+#: Refuse full materialization above this many coordinates.
 #: C(16,8) = 12870 vertices is the practical desk ceiling.
 DIMENSION_GUARD = 16
 
@@ -251,21 +251,18 @@ def _balanced_masks(dim: int) -> list[int]:
     return out
 
 
-def build_base_graph(n: int, allow_large: bool = False) -> BaseGraph:
+def build_base_graph(n: int) -> BaseGraph:
     """Construct the base graph for quarter-dimension ``n``.
 
     Vertices are the C(4n, 2n) balanced 0/1 vectors in colexicographic
     order; edges join vectors with scalar product exactly ``n``.  Refuses
-    dimensions above ``DIMENSION_GUARD`` unless ``allow_large`` is set.
+    dimensions above ``DIMENSION_GUARD`` with ``SizeGuardError``.
     """
     if n < 1:
         raise ValueError(f"quarter-dimension must be >= 1, got {n}")
     dim = 4 * n
-    if dim > DIMENSION_GUARD and not allow_large:
-        raise SizeGuardError(
-            f"dimension {dim} exceeds guard {DIMENSION_GUARD}; "
-            f"pass allow_large=True to override"
-        )
+    if dim > DIMENSION_GUARD:
+        raise SizeGuardError(f"dimension {dim} exceeds guard {DIMENSION_GUARD}")
     masks = _balanced_masks(dim)
     vertices = [BitVertex(m, dim) for m in masks]
     return BaseGraph(n, vertices, _product_n_pairs(masks, dim, n))

@@ -21,9 +21,6 @@ import numpy as np
 from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
 from .model import _PathKernel
 
-#: Largest cycle length enumerated by default.
-MAX_CYCLE_LENGTH = 8
-
 #: Exhaustive subset scans refuse above this many subsets by default.
 SUBSET_SCAN_GUARD = 500_000
 
@@ -197,7 +194,7 @@ class CycleCount(NamedTuple):
     distinct: int
 
 
-def count_cycles(view, s: int, max_s: int = MAX_CYCLE_LENGTH) -> CycleCount:
+def count_cycles(view, s: int) -> CycleCount:
     """Count s-cycles: labeled (rooted, directed) and distinct edge sets.
 
     Every distinct cycle corresponds to exactly 2s labeled ones (s roots,
@@ -206,9 +203,12 @@ def count_cycles(view, s: int, max_s: int = MAX_CYCLE_LENGTH) -> CycleCount:
     more than ``model.EVENT_ENUMERATION_GUARD`` of them raise
     ``SizeGuardError``.
     """
-    if not 3 <= s <= max_s:
-        raise ValueError(f"cycle length {s} outside [3, {max_s}]")
-    distinct = sum(_PathKernel(as_graph(view)).root_counts(s))
+    if s < 3:
+        raise ValueError(f"cycle length {s} is below 3")
+    g = as_graph(view)
+    if s > g.num_vertices:  # a simple cycle repeats no vertex
+        return CycleCount(labeled=0, distinct=0)
+    distinct = sum(_PathKernel(g).root_counts(s))
     return CycleCount(labeled=2 * s * distinct, distinct=distinct)
 
 
@@ -233,57 +233,6 @@ def _greedy_clique(adj: list[int], n: int) -> list[int]:
             clique.append(v)
             allowed &= adj[v]
     return sorted(clique)
-
-
-def _color_sort(adj: list[int], cands: int) -> list[tuple[int, int]]:
-    """Greedy-color candidates; returns (vertex, color) with colors ascending."""
-    colored = []
-    uncolored = cands
-    color = 0
-    while uncolored:
-        color += 1
-        avail = uncolored
-        while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
-            colored.append((v, color))
-            uncolored &= ~low
-            avail &= ~adj[v]
-            avail &= ~low
-    return colored
-
-
-def _max_clique(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], bool]:
-    """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
-    best = _greedy_clique(adj, n)
-    exact = True
-
-    def expand(cands: int, current: list[int]):
-        nonlocal best
-        budget.tick()
-        for v, color in reversed(_color_sort(adj, cands)):
-            if len(current) + color <= len(best):
-                return
-            current.append(v)
-            narrowed = cands & adj[v]
-            if narrowed:
-                expand(narrowed, current)
-            elif len(current) > len(best):
-                best = sorted(current)
-            current.pop()
-            cands &= ~(1 << v)
-
-    try:
-        if n:
-            expand((1 << n) - 1, [])
-    except _Exhausted:
-        exact = False
-    return best, exact
-
-
-#: Components above this size with low average degree use branch-and-reduce.
-SPARSE_COMPONENT_SIZE = 64
-SPARSE_AVERAGE_DEGREE = 8.0
 
 
 def _greedy_sparse_mis(nbrs: list[list[int]]) -> list[int]:
@@ -335,13 +284,12 @@ def _drop(nbrs: list[list[int]], deg: list[int], low: int, removed: list[int]) -
 
 
 def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], bool]:
-    """Branch-and-reduce maximum independent set for sparse graphs.
+    """Branch-and-reduce maximum independent set, the one exact alpha kernel.
 
     Vertices of degree <= 1 are always taken (exchange argument), lowest
     index first; branching happens only on the lowest-index vertex of
     maximum degree, in or out, and a node is cut when ``|current| +
-    |active|`` cannot beat the incumbent.  Far faster than the
-    complement-clique route when the complement is dense.
+    |active|`` cannot beat the incumbent.
 
     A node carries the active degree of every vertex (-1 once removed),
     the bitmask of active degree-<=1 vertices and the active count.  It
@@ -431,14 +379,13 @@ def _path_or_cycle_alpha(adj: list[int], comp: int, verts: list[int]) -> list[in
 def independence_number(view, budget: SolveBudget | None = None) -> SolveResult:
     """Exact independence number, assembled per connected component.
 
-    Degree-<=2 components (paths and cycles) are solved in closed form.
-    Large sparse components run branch-and-reduce on the graph itself,
-    where a search node costs O(component size) for its degree list plus
-    O(degree) per vertex it removes; everything else goes through maximum
-    clique on the component's
-    complement via branch-and-bound with greedy-coloring upper bounds.
-    Within budget the result is exact, otherwise the best independent set
-    found so far is returned as a lower bound with ``exact=False``.
+    Singletons and degree-<=2 components (paths and cycles) are solved in
+    closed form; every other component runs the one branch-and-reduce
+    kernel, ``_sparse_mis``, on its own vertices, where a search node
+    costs O(component size) for its degree list plus O(degree) per vertex
+    it removes.  Within budget the result is exact, otherwise the best
+    independent set found so far is returned as a lower bound with
+    ``exact=False``.
     """
     g = as_graph(view)
     acct = _Budget(budget)
@@ -449,30 +396,12 @@ def independence_number(view, budget: SolveBudget | None = None) -> SolveResult:
         if len(verts) == 1:
             chosen.extend(verts)
             continue
-        degrees = [(g.adj[v] & comp).bit_count() for v in verts]
-        if max(degrees) <= 2:
+        if max((g.adj[v] & comp).bit_count() for v in verts) <= 2:
             chosen.extend(_path_or_cycle_alpha(g.adj, comp, verts))
             continue
         local = {v: i for i, v in enumerate(verts)}
-        size = len(verts)
-        if size > SPARSE_COMPONENT_SIZE and (
-            sum(degrees) / size <= SPARSE_AVERAGE_DEGREE
-        ):
-            comp_adj = [0] * size
-            for v in verts:
-                mask = 0
-                for w in iter_bits(g.adj[v] & comp):
-                    mask |= 1 << local[w]
-                comp_adj[local[v]] = mask
-            found, comp_exact = _sparse_mis(comp_adj, size, acct)
-        else:
-            comp_adj = [0] * size
-            for v in verts:
-                mask = 0
-                for w in iter_bits(comp & ~g.adj[v] & ~(1 << v)):
-                    mask |= 1 << local[w]
-                comp_adj[local[v]] = mask
-            found, comp_exact = _max_clique(comp_adj, size, acct)
+        comp_adj = [sum(1 << local[w] for w in iter_bits(g.adj[v] & comp)) for v in verts]
+        found, comp_exact = _sparse_mis(comp_adj, len(verts), acct)
         chosen.extend(verts[i] for i in found)
         exact = exact and comp_exact
     chosen.sort()

@@ -52,7 +52,10 @@ from highgirth.solvers import (
     SolveBudget,
     SolveResult,
     _Budget,
+    _components,
     _Exhausted,
+    _greedy_clique,
+    _path_or_cycle_alpha,
     _reconstruct_cycle,
     as_graph,
     independence_number,
@@ -392,6 +395,87 @@ def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], boo
     except _Exhausted:
         exact = False
     return sorted(best), exact
+
+
+# The complement-clique route of ``independence_number`` as it was before
+# every component went through the branch-and-reduce kernel: maximum clique
+# on each component's complement, by branch-and-bound with greedy-coloring
+# upper bounds.  The kernel must find the same independence numbers.
+
+
+def _color_sort(adj: list[int], cands: int) -> list[tuple[int, int]]:
+    """Greedy-color candidates; returns (vertex, color) with colors ascending."""
+    colored = []
+    uncolored = cands
+    color = 0
+    while uncolored:
+        color += 1
+        avail = uncolored
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            colored.append((v, color))
+            uncolored &= ~low
+            avail &= ~adj[v]
+            avail &= ~low
+    return colored
+
+
+def _max_clique(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], bool]:
+    """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
+    best = _greedy_clique(adj, n)
+    exact = True
+
+    def expand(cands: int, current: list[int]):
+        nonlocal best
+        budget.tick()
+        for v, color in reversed(_color_sort(adj, cands)):
+            if len(current) + color <= len(best):
+                return
+            current.append(v)
+            narrowed = cands & adj[v]
+            if narrowed:
+                expand(narrowed, current)
+            elif len(current) > len(best):
+                best = sorted(current)
+            current.pop()
+            cands &= ~(1 << v)
+
+    try:
+        if n:
+            expand((1 << n) - 1, [])
+    except _Exhausted:
+        exact = False
+    return best, exact
+
+
+def independence_number_via_cliques(view, budget: SolveBudget | None = None) -> SolveResult:
+    """``independence_number`` with every degree->=3 component on the clique route."""
+    g = as_graph(view)
+    acct = _Budget(budget)
+    chosen: list[int] = []
+    exact = True
+    for comp in _components(g.adj, g.num_vertices):
+        verts = list(iter_bits(comp))
+        if len(verts) == 1:
+            chosen.extend(verts)
+            continue
+        if max((g.adj[v] & comp).bit_count() for v in verts) <= 2:
+            chosen.extend(_path_or_cycle_alpha(g.adj, comp, verts))
+            continue
+        local = {v: i for i, v in enumerate(verts)}
+        size = len(verts)
+        comp_adj = [0] * size
+        for v in verts:
+            mask = 0
+            for w in iter_bits(comp & ~g.adj[v] & ~(1 << v)):
+                mask |= 1 << local[w]
+            comp_adj[local[v]] = mask
+        found, comp_exact = _max_clique(comp_adj, size, acct)
+        chosen.extend(verts[i] for i in found)
+        exact = exact and comp_exact
+    chosen.sort()
+    return SolveResult(value=len(chosen), exact=exact, witness=chosen)
 
 
 # Girth as it was before the search was confined to the 2-core: a

@@ -530,6 +530,41 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
     assert json.loads(out)["seed"] == 11
 
 
+@pytest.mark.parametrize("spelling", [("--config={}",), ("--conf", "{}")])
+def test_config_file_spellings(tmp_path, capsys, spelling):
+    # the joined form and argparse's abbreviation load the file too
+    config = tmp_path / "run.conf"
+    config.write_text("p = 0.4\nseed = 9\nout-dir = {}\n".format(tmp_path))
+    flags = [part.format(config) for part in spelling]
+    code, out, _ = run(capsys, "sample", "--n", "1", *flags)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["p"] == 0.4 and doc["seed"] == 9
+    code, out, _ = run(capsys, "sample", "--n", "1", *flags, "--seed", "11", "--p", "0.5")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["p"] == 0.5 and doc["seed"] == 11
+
+
+def test_gen_refuses_large_dimensions(tmp_path, capsys):
+    code, _, err = run(capsys, "gen", "--n", "5", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "dimension 20 exceeds guard 16" in err
+    # there is no override: the flag is unknown
+    code, _, err = run(capsys, "gen", "--n", "5", "--allow-large", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert "unrecognized arguments: --allow-large" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_solve_cycles_longer_than_the_graph(tmp_path, capsys):
+    triangle = tmp_path / "triangle.dimacs"
+    triangle.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+    code, out, _ = run(capsys, "solve", "--graph", str(triangle), "--what", "cycles", "--s", "9")
+    assert code == 0
+    assert json.loads(out) == {"labeled": 0, "distinct": 0, "s": 9}
+
+
 def test_output_dir_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HIGHGIRTH_OUT", str(tmp_path / "outputs"))
     code, out, _ = run(capsys, "gen", "--n", "1")

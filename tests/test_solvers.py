@@ -194,9 +194,9 @@ def test_count_cycles_trivia():
     assert count_cycles(cycle_graph(4), 4) == (8, 1)
     with pytest.raises(ValueError):
         count_cycles(cycle_graph(4), 2)
-    with pytest.raises(ValueError):
-        count_cycles(cycle_graph(4), 9)
-    assert count_cycles(cycle_graph(9), 9, max_s=9).distinct == 1
+    assert count_cycles(cycle_graph(4), 9) == (0, 0)  # longer than the graph
+    assert count_cycles(cycle_graph(9), 9).distinct == 1
+    assert count_cycles(cycle_graph(12), 12).distinct == 1
 
 
 def test_count_cycles_on_g12(g12):
@@ -330,6 +330,45 @@ def test_sparse_kernel_matches_former_kernel_on_g12_samples(g12, p, seeds):
             assert fast[1] == 1001 and not fast[0].exact
 
 
+dense_graphs = st.tuples(
+    st.integers(min_value=1, max_value=30),  # vertices
+    st.floats(min_value=0.2, max_value=0.8),  # edge density
+    st.integers(min_value=0, max_value=2**32 - 1),  # edge seed
+)
+
+
+@given(dense_graphs)
+@settings(max_examples=60, deadline=None)
+def test_kernel_on_dense_graphs_matches_clique_route(data):
+    n, density, seed = data
+    rng = np.random.default_rng(seed)
+    g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+    res, ticks = _counted(lambda: independence_number(g))
+    assert res.exact
+    assert res.value == oracles.independence_number_via_cliques(g).value
+    if n <= 12:
+        assert res.value == alpha_exhaustive(n, g.edge_list)
+    assert verify_independent_set(g, res.witness)
+    assert len(res.witness) == res.value
+    if ticks > 1:  # a budget one node short runs out
+        cut = independence_number(g, SolveBudget(node_limit=ticks - 1))
+        assert not cut.exact
+        assert cut.value <= res.value
+        assert verify_independent_set(g, cut.witness)
+        assert len(cut.witness) == cut.value
+
+
+def test_independence_time_limit(g12):
+    # the deadline is read every 256 nodes; this solve needs more than 1000
+    sub = sample_subgraph(g12, ModelParams(n=3, seed=1, p_override=0.01)).to_graph()
+    res, ticks = _counted(lambda: independence_number(sub, SolveBudget(time_limit=1e-9)))
+    assert not res.exact and ticks == 256
+    assert verify_independent_set(sub, res.witness)
+    assert len(res.witness) == res.value
+    with pytest.raises(ValueError):
+        SolveBudget(time_limit=-1.0)
+
+
 # --- chromatic number ----------------------------------------------------
 
 
@@ -383,11 +422,9 @@ def test_twelve_vertex_structured_instances():
     assert chromatic_number(ring).value == 2
 
 
-def test_sparse_and_dense_mis_paths_agree(monkeypatch):
-    # the branch-and-reduce path (large sparse components) and the
-    # complement-clique path must compute the same independence numbers
-    import highgirth.solvers as solvers
-
+def test_kernel_matches_complement_clique_route():
+    # the branch-and-reduce kernel against the complement-clique route it
+    # replaced, on sparse graphs where both run every component
     rng = np.random.default_rng(99)
     for trial in range(10):
         n = int(rng.integers(30, 60))
@@ -395,14 +432,12 @@ def test_sparse_and_dense_mis_paths_agree(monkeypatch):
             e for e in combinations(range(n), 2) if rng.random() < 3.0 / n
         )
         g = Graph(n, edges)
-        monkeypatch.setattr(solvers, "SPARSE_COMPONENT_SIZE", 1)
-        via_sparse = independence_number(g)
-        monkeypatch.setattr(solvers, "SPARSE_COMPONENT_SIZE", 10**9)
-        via_clique = independence_number(g)
-        assert via_sparse.exact and via_clique.exact
-        assert via_sparse.value == via_clique.value
-        assert verify_independent_set(g, via_sparse.witness)
-        assert verify_independent_set(g, via_clique.witness)
+        kernel = independence_number(g)
+        clique = oracles.independence_number_via_cliques(g)
+        assert kernel.exact and clique.exact
+        assert kernel.value == clique.value
+        assert verify_independent_set(g, kernel.witness)
+        assert verify_independent_set(g, clique.witness)
 
 
 # --- monotonicity under edge removal -------------------------------------
