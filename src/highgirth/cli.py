@@ -7,8 +7,8 @@ errors.
 
 Every randomized command takes ``--seed`` (default 0, echoed in the
 output) and is deterministic end to end.  A ``--config`` file may supply
-defaults as flat ``key = value`` lines mirroring the flags; explicit
-flags win.  The environment variable ``HIGHGIRTH_OUT`` sets the default
+defaults as flat ``key = value`` lines mirroring the flags, each checked
+as its flag would be; explicit flags win.  The environment variable ``HIGHGIRTH_OUT`` sets the default
 output directory.
 """
 
@@ -509,18 +509,45 @@ def _load_config(path: str) -> dict[str, str]:
     return config
 
 
-def _apply_config(parser: _Parser, config: dict[str, str]) -> None:
-    """Install config values as typed defaults; explicit flags still win."""
-    for action in parser._actions:
-        if action.dest in config:
-            raw = config[action.dest]
-            if isinstance(action, argparse._StoreTrueAction):
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                value = action.type(raw)
-            else:
-                value = raw
-            parser.set_defaults(**{action.dest: value})
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _apply_config(parser: _Parser, config: dict[str, str], path: str) -> None:
+    """Install config values as typed defaults; explicit flags still win.
+
+    Each value passes the checks its flag would: a key naming no flag of
+    the subcommand, a value its type or ``choices`` refuse, or an on/off
+    value outside the known words is a usage error naming file and key.
+    """
+    flags = {
+        action.dest: action for action in parser._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    }
+    for key, raw in config.items():
+        action = flags.get(key)
+        if action is None:
+            raise _UsageError(f"{path}: key {key!r} matches no flag of {parser.prog}")
+        if isinstance(action, argparse._StoreTrueAction):
+            if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
+                raise _UsageError(
+                    f"{path}: key {key!r}: expected one of "
+                    f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {raw!r}"
+                )
+            value = raw.lower() in _TRUE_WORDS
+        else:
+            try:
+                value = raw if action.type is None else action.type(raw)
+            except ValueError:
+                raise _UsageError(
+                    f"{path}: key {key!r}: invalid {action.type.__name__} value {raw!r}"
+                ) from None
+            if action.choices is not None and value not in action.choices:
+                raise _UsageError(
+                    f"{path}: key {key!r}: invalid choice {raw!r} "
+                    f"(choose from {', '.join(map(str, action.choices))})"
+                )
+        parser.set_defaults(**{key: value})
 
 
 def main(argv=None) -> int:
@@ -529,7 +556,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:  # its values become defaults, so a second parse lets flags win
-            _apply_config(registry[args.command], _load_config(args.config))
+            _apply_config(registry[args.command], _load_config(args.config), args.config)
             args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:

@@ -21,9 +21,11 @@ batch when they fit the guard and otherwise root by root.
 ``kept_cycle_blocks`` for a kept-edge subgraph, with the base edge ids:
 those rows are exactly the base cycle events occurring on the subgraph, in
 event order, which is all a resampling search needs.  The deletion search
-walks the same rows with no guard on their total, and
-``count_cycle_blocks`` and ``solvers.count_cycles`` count cycles root by
-root without listing them (a popcount closes each path).
+walks the same rows with no guard on their total.  ``solvers.count_cycles``
+counts a graph's cycles root by root without listing them (a popcount
+closes each path), and ``count_cycle_blocks`` counts the base graph's
+from vertex 0 alone: the graph is vertex-transitive, so that one root
+gives the whole count.
 Cycle ``EventSpec`` lists are only materialised by
 ``enumerate_cycle_events``, for ``build_event_system``: the one builder of
 the ``EventSystem`` that JSON, the dependency structure and the LLL checks
@@ -46,7 +48,15 @@ from math import comb
 
 import numpy as np
 
-from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, _popcount16
+from .graphs import (
+    BaseGraph,
+    EdgeSubset,
+    Graph,
+    SizeGuardError,
+    _balanced_masks,
+    _popcount16,
+    count_formulas,
+)
 
 KIND_INDEPENDENT_SET = "independent_set"
 KIND_CYCLE = "cycle"
@@ -266,22 +276,55 @@ def kept_cycle_blocks(g: Graph, kept: np.ndarray, k: int) -> list[CycleBlock]:
     return _cycle_blocks(_PathKernel(g, kept), k)
 
 
-def count_cycle_blocks(g: Graph, k: int) -> int:
-    """``sum(map(len, cycle_blocks(g, k)))`` without listing a cycle.
+def count_cycle_blocks(g: BaseGraph, k: int) -> int:
+    """``sum(map(len, cycle_blocks(g, k)))`` of the full base graph, counted from vertex 0.
 
-    The open paths grow root by root as in ``cycle_blocks``, and the last
-    step is a popcount of packed adjacency words, so ``SizeGuardError``
-    comes with the same message at the same point.
+    Permuting the 4n coordinates maps the base graph onto itself and any
+    vertex onto any other, so every vertex lies on the same number c(s)
+    of s-cycles, and there are N * c(s) / s of them.  Vertex 0 is the
+    smallest, so the kernel's root-0 paths close into exactly the s-cycles
+    through it (a popcount closes each path).  ``SizeGuardError`` comes
+    with the message, and at the length, of the all-roots count: root 0
+    goes first there and has the most open paths, since an automorphism
+    taking r to 0 maps root r's paths injectively into root 0's.  Any
+    other graph raises ``ValueError``, since the orbit argument needs the
+    full base graph.
     """
+    _check_full_base_graph(g)
     kernel = _PathKernel(g)
     guard = EVENT_ENUMERATION_GUARD
     total = 0
     for s in range(3, k + 1):
-        for count in kernel.root_counts(s):
-            total += count
-            if total > guard:
-                raise _too_many_cycles(k, guard)
+        total += g.num_vertices * kernel.count_closing(kernel.root_paths(s, 0)) // s
+        if total > guard:
+            raise _too_many_cycles(k, guard)
     return total
+
+
+def _check_full_base_graph(g) -> None:
+    """``ValueError`` unless ``g`` is a base graph, up to the order of its vertices.
+
+    Its masks must be every balanced mask of width 4n, once each.  Its
+    edges are distinct, so all of them having scalar product n, and as
+    many as there are such pairs, makes them every such pair.
+    """
+    if isinstance(g, BaseGraph):
+        dim = g.dimension
+        masks = [v.mask for v in g.vertices]
+        if (  # the count first: no mask list is built past the graph's own size
+            len(masks) == comb(dim, dim // 2)
+            and sorted(masks) == _balanced_masks(dim)
+            and g.num_edges == count_formulas(g.n).num_edges
+        ):
+            ends = np.array(masks, dtype=np.uint64)[g.edge_array]
+            both = ends[:, 0] & ends[:, 1]
+            products = sum(
+                _popcount16()[(both >> np.uint64(shift) & np.uint64(0xFFFF)).astype(np.uint16)]
+                for shift in range(0, dim, 16)
+            )
+            if np.all(products == g.n):
+                return
+    raise ValueError("the cycle count from one vertex needs the full base graph")
 
 
 def _cycle_blocks(kernel, k):

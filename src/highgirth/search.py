@@ -8,8 +8,9 @@ Two strategies produce certified subgraphs of a base graph:
   The subgraph is a boolean array over the base edges.  The cycle events
   that hold on it are exactly the cycles of the kept graph, so each round
   lists those (``model.kept_cycle_blocks``) and tests the few subset
-  events; the base graph's cycles are only counted, once per search
-  (``model.count_cycle_blocks``), for the guard and the default budget.
+  events; the base graph's cycles are only counted, once per search and
+  from one vertex (``model.count_cycle_blocks``), for the guard and the
+  default budget.
 * deletion method: draw once, then repeatedly find the canonically first
   shortest cycle of length <= k and delete its smallest edge; termination
   and the girth guarantee are unconditional.  Each length's cycles are

@@ -34,9 +34,11 @@ from highgirth.model import (
     EventSpec,
     EventSystem,
     ModelParams,
+    _PathKernel,
     _edge_id_matrix,
     _pack_mask,
     _stream,
+    _too_many_cycles,
     cycle_blocks,
     sample_subgraph,
 )
@@ -697,6 +699,29 @@ def enumerate_independent_set_events(g: BaseGraph, l: int, p: float) -> list[Eve
             )
         )
     return events
+
+
+# The base graph's cycle count as it was before it ran from vertex 0 alone:
+# every root in turn, on any graph.  The orbit count must equal it on the
+# base graphs, guard errors included.
+
+
+def count_cycle_blocks(g: Graph, k: int) -> int:
+    """``sum(map(len, cycle_blocks(g, k)))`` without listing a cycle.
+
+    The open paths grow root by root as in ``cycle_blocks``, and the last
+    step is a popcount of packed adjacency words, so ``SizeGuardError``
+    comes with the same message at the same point.
+    """
+    kernel = _PathKernel(g)
+    guard = model.EVENT_ENUMERATION_GUARD
+    total = 0
+    for s in range(3, k + 1):
+        for count in kernel.root_counts(s):
+            total += count
+            if total > guard:
+                raise _too_many_cycles(k, guard)
+    return total
 
 
 # Moser-Tardos as it was before it scanned only the kept graph: every

@@ -5,7 +5,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from highgirth.cli import main
+from highgirth.cli import _apply_config, build_parser, main
 
 
 def run(capsys, *argv):
@@ -544,6 +544,37 @@ def test_config_file_spellings(tmp_path, capsys, spelling):
     assert code == 0
     doc = json.loads(out)
     assert doc["p"] == 0.5 and doc["seed"] == 11
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (("sample", "--n", "1"), "p = 0.4\nseeed = 9\n",
+     "key 'seeed' matches no flag of highgirth sample"),
+    (("search", "--n", "1", "--k", "3", "--l", "6", "--p", "0.3"), "method = bogus\n",
+     "key 'method': invalid choice 'bogus' (choose from mt, delete)"),
+    (("lll-check", "--events", "e.json"), "recipe-multipliers = maybe\n",
+     "key 'recipe_multipliers': expected one of 1/true/yes/on/0/false/no/off, got 'maybe'"),
+    (("sample", "--n", "1", "--p", "0.3"), "seed = x\n", "key 'seed': invalid int value 'x'"),
+])
+def test_config_file_values_are_checked_like_flags(
+    tmp_path, capsys, monkeypatch, argv, text, message
+):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1 and not out
+    assert err == f"error: {config}: {message}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize(
+    "word, value", [("Yes", True), ("on", True), ("OFF", False), ("0", False)]
+)
+def test_config_file_on_off_words(word, value):
+    parser, registry = build_parser()
+    _apply_config(registry["lll-check"], {"recipe_multipliers": word}, "run.conf")
+    args = parser.parse_args(["lll-check", "--events", "e.json"])
+    assert args.recipe_multipliers is value
 
 
 def test_gen_refuses_large_dimensions(tmp_path, capsys):

@@ -29,6 +29,7 @@ from highgirth.model import (
     count_cycle_blocks,
     kept_cycle_blocks,
 )
+from highgirth.graphs import BitVertex
 from highgirth.solvers import cycle_edges
 
 import oracles
@@ -285,19 +286,70 @@ def test_count_matches_the_listed_blocks_on_g8(g8):
 def test_count_matches_the_listed_blocks_on_random_graphs(data, k):
     n, edges = data
     g = Graph(n, sorted(edges))
-    assert count_cycle_blocks(g, k) == sum(map(len, cycle_blocks(g, k)))
+    assert oracles.count_cycle_blocks(g, k) == sum(map(len, cycle_blocks(g, k)))
 
 
 def test_count_raises_the_guard_errors_of_the_listing(g4, g8, g12, monkeypatch):
     k26 = Graph(8, [(a, b) for a in (0, 7) for b in range(1, 7)])
-    cases = [(g4, 4, 22), (g4, 3, 7), (k26, 5, 29), (g8, 5, 500_000), (g12, 3, 500_000)]
-    for g, k, guard in cases:
+    orbit, roots = count_cycle_blocks, oracles.count_cycle_blocks
+    cases = [(g4, 4, 22, orbit), (g4, 3, 7, orbit), (k26, 5, 29, roots),
+             (g8, 5, 500_000, orbit), (g12, 3, 500_000, orbit)]
+    for g, k, guard, count in cases:
         expected = guard_message(monkeypatch, guard, cycle_blocks, g, k)
-        assert guard_message(monkeypatch, guard, count_cycle_blocks, g, k) == expected
+        assert guard_message(monkeypatch, guard, count, g, k) == expected
     monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 23)
     assert count_cycle_blocks(g4, 4) == 23
     monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 30)
-    assert count_cycle_blocks(k26, 5) == 15
+    assert oracles.count_cycle_blocks(k26, 5) == 15
+
+
+@pytest.mark.parametrize(
+    "name, k", [("g4", k) for k in range(2, 9)] + [("g8", k) for k in range(2, 5)]
+)
+def test_orbit_count_matches_the_all_roots_count(request, name, k):
+    g = request.getfixturevalue(name)
+    assert count_cycle_blocks(g, k) == oracles.count_cycle_blocks(g, k)
+
+
+def test_orbit_count_holds_under_any_vertex_order(g8):
+    # the count is a graph invariant: relabelled, vertex 0 is another vertex
+    order = np.random.default_rng(8).permutation(g8.num_vertices)
+    position = np.argsort(order)
+    relabelled = BaseGraph(2, [g8.vertices[v] for v in order], position[g8.edge_array])
+    assert relabelled.vertices[0] != g8.vertices[0]
+    assert count_cycle_blocks(relabelled, 4) == 200_655
+
+
+@pytest.mark.parametrize("name, k, guard", [
+    ("g4", 4, 22), ("g4", 3, 7), ("g4", 6, 12),
+    ("g8", 5, None), ("g8", 4, 200_654), ("g12", 3, None),
+])
+def test_orbit_count_raises_the_guard_errors_of_the_all_roots_count(
+    request, monkeypatch, name, k, guard
+):
+    g = request.getfixturevalue(name)
+    guard = model.EVENT_ENUMERATION_GUARD if guard is None else guard
+    expected = guard_message(monkeypatch, guard, cycle_blocks, g, k)
+    assert guard_message(monkeypatch, guard, oracles.count_cycle_blocks, g, k) == expected
+    assert guard_message(monkeypatch, guard, count_cycle_blocks, g, k) == expected
+
+
+def test_orbit_count_refuses_all_but_the_full_base_graph(g4):
+    forest = BaseGraph(1, list(g4.vertices), [(0, 1), (1, 2), (2, 3)])
+    quad = BaseGraph(1, list(g4.vertices), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    # one edge missing; one edge traded for a non-edge, which keeps the count
+    missing = BaseGraph(1, list(g4.vertices), g4.edge_list[1:])
+    non_edge = next(pair for pair in combinations(range(6), 2) if not g4.has_edge(*pair))
+    swapped = BaseGraph(1, list(g4.vertices), [*g4.edge_list[1:], non_edge])
+    # six distinct balanced masks and twelve product-1 pairs, but 6 bits wide
+    six = [BitVertex(m, 6) for m in (0b111, 0b1011, 0b110001, 0b110010, 0b11100, 0b101100)]
+    wide = BaseGraph(1, six, [(a, b) for a, b in combinations(range(6), 2)
+                              if (six[a].mask & six[b].mask).bit_count() == 1])
+    assert wide.num_edges == g4.num_edges
+    twice = BaseGraph(1, [g4.vertices[0]] * 6, g4.edge_list)
+    for g in (forest, quad, missing, swapped, wide, twice, Graph(6, g4.edge_list)):
+        with pytest.raises(ValueError, match="full base graph"):
+            count_cycle_blocks(g, 4)
 
 
 def assert_kept_rows_are_the_surviving_rows(g, kept, k):

@@ -3,7 +3,8 @@
 Each digest is the SHA-256 of a command's output, recorded before the code
 that produces it was rewritten (the JSON encoder; the Local Lemma checkers
 and the deletion search's failure path; the Moser-Tardos event scan; the
-cycle listing behind deletion and ``solve --what cycles``), so
+cycle listing behind deletion and ``solve --what cycles``; the base cycle
+count behind the default resample budget), so
 any later change to encoding or to the numbers has to show byte identity
 here, not just claim it.
 """
@@ -55,6 +56,10 @@ MT_DIGESTS = {
         "b2107e4423438f1b3b51346e0e60d8289d2df113cca06f5c96874846a0df03df",
     "search --n 2 --k 3 --l 10 --p 0.1 --seed 0 --subset-events on":
         "613f2a7163b32d14498bc0eb16243a9edb7b8cc63292a7136a8b2e291b1f775a",
+    "search --n 1 --k 6 --l 6 --p 0.999 --seed 0 --method mt --subset-events off":
+        "ec038feb5de5a525df658ed5cd3ed4792717675f88a39d19627f53cdc876b23f",
+    "search --n 1 --k 4 --l 6 --p 0.9999 --seed 0 --method mt --subset-events off":
+        "f5b6fff35d8c5a7682a92ad5c747ff39458e38366c610832c64b7b4e87cbb7c3",
 }
 
 CYCLE_DIGESTS = {
@@ -151,6 +156,12 @@ def test_moser_tardos_outputs_are_byte_identical(run):
         "search", "--n", "2", "--k", "3", "--l", "10", "--p", "0.1", "--seed", "0",
         "--subset-events", "on", code=2,
     )
+    # the default budget, 10 resamples per base cycle: 630 and 230
+    for k, p in (("6", "0.999"), ("4", "0.9999")):
+        got[f"search --n 1 --k {k} --l 6 --p {p} --seed 0 --method mt --subset-events off"] = run(
+            "search", "--n", "1", "--k", k, "--l", "6", "--p", p, "--seed", "0",
+            "--method", "mt", "--subset-events", "off", code=2,
+        )
     assert {name: digest(text) for name, text in got.items()} == MT_DIGESTS
 
 
