@@ -19,7 +19,10 @@ Two strategies produce certified subgraphs of a base graph:
 
 Either way the result is only ever reported through ``certify``, which
 re-verifies girth and independence with the exact solvers and refuses to
-emit anything it could not verify.
+emit anything it could not verify.  ``recheck_certificate`` re-verifies a
+stored certificate by rerunning ``certify`` on its mask, and
+``solvers.chromatic_lower_bound_ratio`` is the one formula for
+``chi_lower`` and ``empirical_rate``.
 
 Randomness follows the model's PRNG contract: the first ``num_edges``
 draws of the PCG64 stream are the initial sample (identical to
@@ -30,6 +33,7 @@ edge of the resampled event, in ascending edge-index order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +53,7 @@ from .model import (
 from .solvers import (
     SolveBudget,
     SolveResult,
+    chromatic_lower_bound_ratio,
     girth,
     independence_number,
 )
@@ -114,17 +119,36 @@ class GirthCertificate:
 
     @classmethod
     def from_json(cls, doc: dict) -> "GirthCertificate":
+        """Load a certificate, refusing every value outside its JSON schema."""
         if not isinstance(doc, dict):
             raise ValueError("a certificate must be a JSON object")
-        for key in ("n", "k", "l"):
-            if type(doc[key]) is not int:
-                raise ValueError(f"certificate {key} must be an integer, got {doc[key]!r}")
-        if type(doc["edge_mask_hex"]) is not str:
-            raise ValueError(
-                f"certificate edge_mask_hex must be a string, got {doc['edge_mask_hex']!r}"
-            )
+        for key, least in (("n", 1), ("k", 0), ("l", 1), ("alpha", 0), ("chi_lower", 1)):
+            _require(type(doc[key]) is int, key, "an integer", doc[key])
+            _require(doc[key] >= least, key, f"at least {least}", doc[key])
+        _require(type(doc["alpha_exact"]) is bool, "alpha_exact", "a boolean", doc["alpha_exact"])
+        rate = doc["empirical_rate"]
+        _require(_is_number(rate) and rate > 0, "empirical_rate", "a number > 0", rate)
         girth_value = doc["girth"]
+        _require(
+            girth_value == "infinite" or (type(girth_value) is int and girth_value >= 3),
+            "girth", 'an integer >= 3 or "infinite"', girth_value,
+        )
+        seed = doc.get("seed")
+        _require(seed is None or (type(seed) is int and seed >= 0),
+                 "seed", "an integer >= 0 or null", seed)
         gamma_or_p = doc.get("gamma_or_p", {})
+        _require(isinstance(gamma_or_p, dict), "gamma_or_p", "an object", gamma_or_p)
+        gamma, p = gamma_or_p.get("gamma"), gamma_or_p.get("p")
+        _require(gamma is None or (_is_number(gamma) and 0 < gamma < 1),
+                 "gamma", "a number in (0, 1)", gamma)
+        _require(p is None or (_is_number(p) and 0 <= p <= 1), "p", "a number in [0, 1]", p)
+        mask = doc["edge_mask_hex"]
+        _require(type(mask) is str, "edge_mask_hex", "a string", mask)
+        _require(re.fullmatch("[0-9a-f]+", mask) is not None, "edge_mask_hex",
+                 "lowercase hex digits", mask)
+        solver_versions = doc.get("solver_versions", {})
+        _require(isinstance(solver_versions, dict), "solver_versions", "an object",
+                 solver_versions)
         return cls(
             n=doc["n"],
             k=doc["k"],
@@ -132,14 +156,24 @@ class GirthCertificate:
             alpha=doc["alpha"],
             alpha_exact=doc["alpha_exact"],
             chi_lower=doc["chi_lower"],
-            empirical_rate=doc["empirical_rate"],
+            empirical_rate=rate,
             girth=math.inf if girth_value == "infinite" else girth_value,
-            edge_mask_hex=doc["edge_mask_hex"],
-            seed=doc.get("seed"),
-            gamma=gamma_or_p.get("gamma"),
-            p=gamma_or_p.get("p"),
-            solver_versions=doc.get("solver_versions", {}),
+            edge_mask_hex=mask,
+            seed=seed,
+            gamma=gamma,
+            p=p,
+            solver_versions=solver_versions,
         )
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _require(ok: bool, key: str, what: str, value) -> None:
+    """Refuse a certificate field that is not ``what``."""
+    if not ok:
+        raise ValueError(f"certificate {key} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -227,16 +261,15 @@ def _certificate(
             f"independence number {alpha_result.value} exceeds the bound {l}",
             witness=alpha_result.witness,
         )
-    base = sub.base
-    chi_lower = -(-base.num_vertices // l)
+    bound = chromatic_lower_bound_ratio(sub, l)
     return GirthCertificate(
-        n=base.n,
+        n=sub.base.n,
         k=k,
         l=l,
         alpha=int(alpha_result.value),
         alpha_exact=True,
-        chi_lower=chi_lower,
-        empirical_rate=chi_lower ** (1 / (4 * base.n)),
+        chi_lower=bound.chi_lower,
+        empirical_rate=bound.rate,
         girth=girth_result.value,
         edge_mask_hex=sub.mask_hex(),
         seed=seed,
@@ -251,39 +284,33 @@ def recheck_certificate(
     base: BaseGraph,
     alpha_budget: SolveBudget | None = None,
 ) -> list[str]:
-    """Re-verify every claim of a certificate from scratch.
+    """Re-verify every claim of a certificate by rerunning ``certify``.
 
     Returns a list of discrepancies (empty means the certificate stands).
-    Runs the exact solvers on the reconstructed subgraph, independently of
-    whatever produced the certificate.  With ``alpha_budget`` the
-    independence solve is bounded; if it runs out, alpha stays unproven
-    and that is reported as a discrepancy, so an exhausted recheck never
-    confirms a certificate.
+    ``certify`` runs the exact solvers on the reconstructed subgraph with
+    the certificate's k and l, independently of whatever produced it; its
+    refusal, such as a girth not above k or an independence solve that
+    exhausts ``alpha_budget``, is the one discrepancy, so an exhausted
+    recheck never confirms a certificate.  Otherwise every derived field
+    that the fresh certificate disagrees with is reported.
     """
+    try:
+        fresh = certify(cert.subgraph(base), cert.k, cert.l, alpha_budget=alpha_budget)
+    except CertificationError as exc:
+        return [exc.reason]
     problems = []
-    g = cert.subgraph(base).to_graph()
-    girth_result = girth(g)
-    if girth_result.value != cert.girth:
-        problems.append(f"girth is {girth_result.value}, certificate says {cert.girth}")
-    if girth_result.value <= cert.k:
-        problems.append(f"girth {girth_result.value} is not above k = {cert.k}")
-    alpha_result = independence_number(g, alpha_budget)
-    if not alpha_result.exact:
-        problems.append(
-            f"independence solve exhausted its budget at alpha >= "
-            f"{alpha_result.value}; alpha = {cert.alpha} is unverified"
-        )
-    elif alpha_result.value != cert.alpha:
-        problems.append(f"alpha is {alpha_result.value}, certificate says {cert.alpha}")
-    if alpha_result.value > cert.l:
-        problems.append(f"alpha {alpha_result.value} exceeds l = {cert.l}")
-    chi_lower = -(-base.num_vertices // cert.l)
-    if chi_lower != cert.chi_lower:
-        problems.append(f"chi_lower recomputes to {chi_lower}, not {cert.chi_lower}")
-    rate = chi_lower ** (1 / (4 * base.n))
-    if not math.isclose(rate, cert.empirical_rate, rel_tol=1e-12):
-        problems.append(f"empirical rate recomputes to {rate}")
+    for name in ("girth", "alpha", "alpha_exact", "chi_lower", "empirical_rate"):
+        got, said = getattr(fresh, name), getattr(cert, name)
+        if not _agrees(got, said):
+            problems.append(f"{name} recomputes to {got}, certificate says {said}")
     return problems
+
+
+def _agrees(got, said) -> bool:
+    """Equality, with floats compared to a relative tolerance of 1e-12."""
+    if isinstance(got, float):
+        return math.isclose(got, said, rel_tol=1e-12)
+    return got == said
 
 
 def moser_tardos_search(

@@ -75,15 +75,6 @@ def as_graph(view) -> Graph:
     raise TypeError(f"not a graph view: {type(view).__name__}")
 
 
-def quarter_dimension(view) -> int | None:
-    """The quarter-dimension n of a base-graph-derived view, if any."""
-    if isinstance(view, BaseGraph):
-        return view.n
-    if isinstance(view, EdgeSubset):
-        return view.base.n
-    return None
-
-
 class _Exhausted(Exception):
     pass
 
@@ -283,7 +274,7 @@ def _drop(nbrs: list[list[int]], deg: list[int], low: int, removed: list[int]) -
     return low & ~gone
 
 
-def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], bool]:
+def _sparse_mis(nbrs: list[list[int]], budget: _Budget) -> tuple[list[int], bool]:
     """Branch-and-reduce maximum independent set, the one exact alpha kernel.
 
     Vertices of degree <= 1 are always taken (exchange argument), lowest
@@ -296,7 +287,6 @@ def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], boo
     costs one copy and one maximum scan of the degree list, plus O(degree)
     per removed vertex; nothing rescans the active set.
     """
-    nbrs = [list(iter_bits(m)) for m in adj]
     best = _greedy_sparse_mis(nbrs)
     exact = True
 
@@ -328,10 +318,10 @@ def _sparse_mis(adj: list[int], n: int, budget: _Budget) -> tuple[list[int], boo
             del current[mark:]
 
     try:
-        if n:
+        if nbrs:
             deg = [len(ws) for ws in nbrs]
             low = sum(1 << v for v, d in enumerate(deg) if d <= 1)
-            search(n, low, deg, [])
+            search(len(nbrs), low, deg, [])
     except _Exhausted:
         exact = False
     return sorted(best), exact
@@ -400,8 +390,9 @@ def independence_number(view, budget: SolveBudget | None = None) -> SolveResult:
             chosen.extend(_path_or_cycle_alpha(g.adj, comp, verts))
             continue
         local = {v: i for i, v in enumerate(verts)}
-        comp_adj = [sum(1 << local[w] for w in iter_bits(g.adj[v] & comp)) for v in verts]
-        found, comp_exact = _sparse_mis(comp_adj, len(verts), acct)
+        found, comp_exact = _sparse_mis(
+            [[local[w] for w in iter_bits(g.adj[v])] for v in verts], acct
+        )
         chosen.extend(verts[i] for i in found)
         exact = exact and comp_exact
     chosen.sort()
@@ -493,25 +484,24 @@ class RatioBound:
     """The covering lower bound ceil(N / alpha) and its growth rate."""
 
     chi_lower: int
-    rate: float | None  # (N / alpha) ** (1 / 4n) when n is known
+    rate: float | None  # chi_lower ** (1 / 4n) when the view has a base graph
 
 
 def chromatic_lower_bound_ratio(view, alpha_bound: int) -> RatioBound:
     """Chromatic lower bound ceil(N / alpha_bound) from an independence bound.
 
-    When the view derives from a base graph the per-coordinate rate
-    (N / alpha_bound)^(1/4n) is attached for growth comparisons.
+    The one formula behind every certificate's ``chi_lower`` and
+    ``empirical_rate``.  N counts the base vertices of an ``EdgeSubset``;
+    when the view derives from a base graph the per-coordinate rate
+    chi_lower^(1/4n) is attached for growth comparisons.
     """
     if alpha_bound < 1:
         raise ValueError(f"independence bound must be >= 1, got {alpha_bound}")
     if isinstance(view, EdgeSubset):
-        nv = view.base.num_vertices
-    else:
-        nv = as_graph(view).num_vertices
-    bound = -(-nv // alpha_bound)
-    n = quarter_dimension(view)
-    rate = (nv / alpha_bound) ** (1 / (4 * n)) if n else None
-    return RatioBound(chi_lower=bound, rate=rate)
+        view = view.base
+    chi_lower = -(-as_graph(view).num_vertices // alpha_bound)
+    rate = chi_lower ** (1 / (4 * view.n)) if isinstance(view, BaseGraph) else None
+    return RatioBound(chi_lower=chi_lower, rate=rate)
 
 
 def edges_within(view, subset) -> int:

@@ -483,7 +483,38 @@ def test_export_keeps_the_size_guard(tmp_path, capsys, monkeypatch):
     (lambda doc: {**doc, "l": None}, "certificate l must be an integer, got None"),
     (lambda doc: {**doc, "edge_mask_hex": 5},
      "certificate edge_mask_hex must be a string, got 5"),
-], ids=["list", "string-n", "float-k", "null-l", "int-mask"])
+    (lambda doc: {**doc, "n": 0}, "certificate n must be at least 1, got 0"),
+    (lambda doc: {**doc, "k": -1}, "certificate k must be at least 0, got -1"),
+    (lambda doc: {**doc, "l": 0}, "certificate l must be at least 1, got 0"),
+    (lambda doc: {**doc, "alpha": "many"}, "certificate alpha must be an integer, got 'many'"),
+    (lambda doc: {**doc, "alpha": -1}, "certificate alpha must be at least 0, got -1"),
+    (lambda doc: {**doc, "alpha_exact": 1}, "certificate alpha_exact must be a boolean, got 1"),
+    (lambda doc: {**doc, "chi_lower": 0}, "certificate chi_lower must be at least 1, got 0"),
+    (lambda doc: {**doc, "empirical_rate": True},
+     "certificate empirical_rate must be a number > 0, got True"),
+    (lambda doc: {**doc, "empirical_rate": 0.0},
+     "certificate empirical_rate must be a number > 0, got 0.0"),
+    (lambda doc: {**doc, "girth": "3"},
+     """certificate girth must be an integer >= 3 or "infinite", got '3'"""),
+    (lambda doc: {**doc, "girth": 2},
+     """certificate girth must be an integer >= 3 or "infinite", got 2"""),
+    (lambda doc: {**doc, "seed": -1}, "certificate seed must be an integer >= 0 or null, got -1"),
+    (lambda doc: {**doc, "gamma_or_p": [0.5]},
+     "certificate gamma_or_p must be an object, got [0.5]"),
+    (lambda doc: {**doc, "gamma_or_p": {"gamma": 1.0}},
+     "certificate gamma must be a number in (0, 1), got 1.0"),
+    (lambda doc: {**doc, "gamma_or_p": {"p": "0.5"}},
+     "certificate p must be a number in [0, 1], got '0.5'"),
+    (lambda doc: {**doc, "solver_versions": None},
+     "certificate solver_versions must be an object, got None"),
+    (lambda doc: {**doc, "edge_mask_hex": "0x" + doc["edge_mask_hex"]},
+     "certificate edge_mask_hex must be lowercase hex digits, got '0x"),
+], ids=[
+    "list", "string-n", "float-k", "null-l", "int-mask", "zero-n", "negative-k", "zero-l",
+    "string-alpha", "negative-alpha", "int-alpha-exact", "zero-chi-lower", "bool-rate",
+    "zero-rate", "string-girth", "girth-2", "negative-seed", "list-gamma-or-p",
+    "gamma-1", "string-p", "null-solver-versions", "prefixed-mask",
+])
 def test_export_rejects_malformed_certificates(tmp_path, capsys, edit, message):
     cert_path = tmp_path / "cert.json"
     run(capsys, "search", "--n", "1", "--k", "3", "--p", "0.5", "--seed", "2",

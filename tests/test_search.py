@@ -1,5 +1,6 @@
 import io
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -459,8 +460,6 @@ def test_certificate_reproduces_subgraph_bytes(g4):
 
 
 def test_recheck_flags_tampering(g4):
-    from dataclasses import replace
-
     cert = certify(EdgeSubset.full(g4), k=2, l=2)
     tampered = replace(cert, chi_lower=17)
     assert any("chi_lower" in p for p in recheck_certificate(tampered, g4))
@@ -468,17 +467,46 @@ def test_recheck_flags_tampering(g4):
     assert any("alpha" in p for p in recheck_certificate(tampered, g4))
     tampered = replace(cert, k=5)
     assert any("not above" in p for p in recheck_certificate(tampered, g4))
+    tampered = replace(cert, alpha_exact=False)
+    assert recheck_certificate(tampered, g4) == [
+        "alpha_exact recomputes to True, certificate says False"
+    ]
+    tampered = replace(cert, girth=7)
+    assert recheck_certificate(tampered, g4) == [
+        "girth recomputes to 3, certificate says 7"
+    ]
+    tampered = replace(cert, empirical_rate=cert.empirical_rate * (1 + 1e-9))
+    assert any("empirical_rate" in p for p in recheck_certificate(tampered, g4))
 
 
 def test_recheck_with_an_exhausted_budget_never_confirms(g12):
-    # forged: the full G_12 is dense, so alpha cannot finish in 1000 nodes
-    full = EdgeSubset.full(g12)
+    # forged on a mask of girth above 4 whose alpha needs more than one node
+    cert = deletion_method(
+        g12, ModelParams(n=3, p_override=0.006, seed=3), k=4,
+        alpha_budget=SolveBudget(node_limit=1000),
+    )
+    forged = replace(cert, l=2, alpha=2, chi_lower=462, empirical_rate=462 ** (1 / 12))
+    problems = recheck_certificate(forged, g12, SolveBudget(node_limit=1))
+    assert any("exhausted its budget" in p for p in problems)
+
+
+def test_recheck_refuses_a_short_girth_before_solving_alpha(g12):
+    # the full G_12 is dense: an unbudgeted alpha solve on it would not end
     forged = GirthCertificate(
         n=3, k=4, l=2, alpha=2, alpha_exact=True, chi_lower=462,
-        empirical_rate=462 ** (1 / 12), girth=5, edge_mask_hex=full.mask_hex(),
+        empirical_rate=462 ** (1 / 12), girth=5,
+        edge_mask_hex=EdgeSubset.full(g12).mask_hex(),
     )
-    problems = recheck_certificate(forged, g12, SolveBudget(node_limit=1000))
-    assert any("exhausted its budget" in p for p in problems)
+    assert recheck_certificate(forged, g12) == ["girth 3 is not above 4"]
+
+
+def test_recheck_reruns_certify_once(g4, monkeypatch):
+    import highgirth.search as search_module
+
+    cert = certify(EdgeSubset.full(g4), k=2, l=2)
+    calls = _call_counter(monkeypatch, search_module, "certify")
+    assert recheck_certificate(cert, g4) == []
+    assert calls == ["certify"]
 
 
 def test_recheck_budget_on_a_genuine_certificate(g12):

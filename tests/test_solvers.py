@@ -25,7 +25,7 @@ from highgirth import (
 from highgirth import solvers
 from highgirth.graphs import iter_bits
 from highgirth.model import ModelParams, sample_subgraph
-from highgirth.search import deletion_method
+from highgirth.search import certify, deletion_method
 from highgirth.solvers import (
     _Budget,
     verify_coloring,
@@ -304,13 +304,18 @@ def test_sparse_kernel_matches_former_kernel(data):
     rng = np.random.default_rng(seed)
     g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
     budget = SolveBudget(node_limit=node_limit)
-    fast = _counted(lambda: solvers._sparse_mis(g.adj, n, _Budget(budget)))
+    nbrs = [list(iter_bits(m)) for m in g.adj]
+    fast = _counted(lambda: solvers._sparse_mis(nbrs, _Budget(budget)))
     slow = _counted(lambda: oracles._sparse_mis(g.adj, n, _Budget(budget)))
     assert fast == slow  # same set, same exactness, same node count
-    nbrs = [list(iter_bits(m)) for m in g.adj]
     assert solvers._greedy_sparse_mis(nbrs) == oracles._greedy_sparse_mis(
         g.adj, (1 << n) - 1
     )
+
+
+def _former_kernel_on_lists(nbrs, budget):
+    adj = [sum(1 << w for w in ws) for ws in nbrs]
+    return oracles._sparse_mis(adj, len(nbrs), budget)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +328,7 @@ def test_sparse_kernel_matches_former_kernel_on_g12_samples(g12, p, seeds):
         sub = sample_subgraph(g12, ModelParams(n=3, seed=seed, p_override=p)).to_graph()
         fast = _counted(lambda: independence_number(sub, budget))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "_sparse_mis", oracles._sparse_mis)
+            mp.setattr(solvers, "_sparse_mis", _former_kernel_on_lists)
             slow = _counted(lambda: independence_number(sub, budget))
         assert fast == slow
         if p == 0.01:
@@ -468,6 +473,10 @@ def test_ratio_bound_examples(g4, g8):
     r8 = chromatic_lower_bound_ratio(g8, 14)
     assert r8.chi_lower == 5
     assert r8.rate == pytest.approx(5 ** 0.125, abs=1e-12)
+    # alpha does not divide N = 70: the rate is chi_lower's, as in certificates
+    r50 = chromatic_lower_bound_ratio(g8, 50)
+    assert r50.chi_lower == 2
+    assert r50.rate == 2 ** 0.125 == certify(EdgeSubset.full(g8), k=2, l=50).empirical_rate
     with pytest.raises(ValueError):
         chromatic_lower_bound_ratio(g4, 0)
 
