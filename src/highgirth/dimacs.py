@@ -3,7 +3,10 @@
 The DIMACS dialect used here: optional ``c`` comment lines, exactly one
 ``p edge N M`` problem line, then one ``e u v`` line per edge with
 1-indexed vertex ids.  Files written by this module list edges in
-canonical order, so write -> read -> write is byte-identical.
+canonical order, so write -> read -> write is byte-identical.  A problem
+line with more vertices than the largest base graph the size guard allows,
+C(16, 8) = 12,870, is refused with ``SizeGuardError`` before any edge line
+is read.
 
 Every JSON document the package writes goes through ``dump_json``: sorted
 keys, 2-space indent, ASCII-only escapes and a final newline, byte for
@@ -13,21 +16,26 @@ The standard library falls back to its pure-Python generator whenever
 with ``str.join`` and encodes lists a column at a time: a list of one
 scalar type maps to text in one call, and a list of dicts that share a
 key order (an event system's events) is filled in one key at a time from
-a row template, with the keys sorted once per shape.  It encodes a
-document once and writes that text to every target it is given.
+a row template, with the keys sorted once per shape.  It does so only for
+the exact types the package writes; a document holding anything else is
+given whole to ``json.dumps``.  It encodes a document once and writes that
+text to every target it is given.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+import json
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from math import inf, isfinite
+from math import comb, isfinite
 from operator import itemgetter
 from pathlib import Path
 from typing import IO
 
-from .graphs import BaseGraph, Graph
+from .graphs import DIMENSION_GUARD, BaseGraph, Graph, SizeGuardError
+
+#: The vertex count of the largest base graph under the dimension guard.
+_MAX_VERTICES = comb(DIMENSION_GUARD, DIMENSION_GUARD // 2)
 
 
 class DimacsError(ValueError):
@@ -54,7 +62,8 @@ def _write_dimacs(g: Graph, fh: IO[str]) -> None:
 
 
 def read_dimacs(source: str | Path | IO[str]) -> Graph:
-    """Parse a DIMACS edge-format graph; raises ``DimacsError`` on bad input."""
+    """Parse a DIMACS edge-format graph; raises ``DimacsError`` on bad input
+    and ``SizeGuardError`` on more than 12,870 vertices."""
     if hasattr(source, "read"):
         return _read_dimacs(source)
     with open(source) as fh:
@@ -80,6 +89,10 @@ def _read_dimacs(fh: IO[str]) -> Graph:
                 declared_edges = int(fields[3])
             except ValueError:
                 raise DimacsError(f"non-integer counts in {line!r}", lineno) from None
+            if num_vertices > _MAX_VERTICES:
+                raise SizeGuardError(
+                    f"line {lineno}: {num_vertices} vertices exceed the guard {_MAX_VERTICES}"
+                )
         elif fields[0] == "e":
             if num_vertices is None:
                 raise DimacsError("edge line before problem line", lineno)
@@ -121,8 +134,8 @@ def dump_json(doc, *targets: str | Path | IO[str]) -> None:
 
     A target is a path (created or truncated) or an open text stream.  The
     text equals ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``,
-    including its ``TypeError`` for values JSON cannot hold and its
-    ``ValueError`` for a container that contains itself.
+    and a document JSON cannot hold raises ``json``'s own ``TypeError`` or
+    ``ValueError``.
     """
     if not targets:
         raise TypeError("dump_json needs at least one target")
@@ -135,31 +148,8 @@ def dump_json(doc, *targets: str | Path | IO[str]) -> None:
                 fh.write(text)
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == inf:
-        return "Infinity"
-    if x == -inf:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key as ``json`` turns it into a string, before quoting."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+class _Foreign(Exception):
+    """A value of a type the package does not write."""
 
 
 class _Newlines(dict):
@@ -189,15 +179,17 @@ def _scalar_text(xs):
 def _encode(doc) -> str:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True)``.
 
+    Encodes the exact types the package writes: ``dict`` with ``str`` keys,
+    ``list``, ``tuple``, ``str``, ``int``, ``float``, ``bool`` and ``None``.
     A list is encoded a column at a time where it can be: scalars of one
-    type, lists of such scalars and dicts of one key order map straight to
-    text.  Anything else is encoded value by value in ``json``'s own order,
-    and a column that fails is encoded again that way, so the errors are
-    ``json``'s too.
+    type, lists of such scalars and dicts of one key order (rows after the
+    first matched to its keys by equality) map straight to text.  Anything
+    else, a subclass, a key that is not a ``str`` or a document that holds
+    itself (and so recurses without end), gives the whole document to
+    ``json.dumps``: its text, or its error, is then the result.
     """
     newlines = _Newlines()
     shapes = {}  # (key tuple, depth) -> (sorted keys, '"key": ' lines)
-    on_path = set()  # ids of the containers being encoded, against cycles
 
     def value(x, depth: int) -> str:
         t = type(x)
@@ -206,50 +198,25 @@ def _encode(doc) -> str:
         if t is int:
             return int.__repr__(x)
         if t is float:
-            return float.__repr__(x) if isfinite(x) else _float_text(x)
+            if isfinite(x):
+                return float.__repr__(x)
+            return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
         if t is list or t is tuple:
             return array(x, depth)
         if t is dict:
             return obj(x, depth)
-        # bool, None, subclasses and the rest, in the order ``json`` checks them
-        if isinstance(x, str):
-            return encode_basestring_ascii(x)
         if x is None:
             return "null"
         if x is True:
             return "true"
         if x is False:
             return "false"
-        if isinstance(x, int):
-            return int.__repr__(x)
-        if isinstance(x, float):
-            return _float_text(x)
-        if isinstance(x, (list, tuple)):
-            return array(x, depth)
-        if isinstance(x, dict):
-            return obj(x, depth)
-        raise TypeError(f"Object of type {x.__class__.__name__} is not JSON serializable")
-
-    @contextmanager
-    def entered(containers):
-        """Mark ``containers`` as being encoded, for as long as they are."""
-        ids = set(map(id, containers))
-        if not on_path.isdisjoint(ids):
-            raise ValueError("Circular reference detected")
-        on_path.update(ids)
-        try:
-            yield
-        finally:
-            on_path.difference_update(ids)
+        raise _Foreign
 
     def array(xs, depth: int) -> str:
         if not xs:
             return "[]"
-        with entered((xs,)):
-            if type(xs) is list or type(xs) is tuple:
-                items = ("," + newlines[depth + 1]).join(column(xs, depth + 1))
-            else:
-                items = ("," + newlines[depth + 1]).join([value(x, depth + 1) for x in xs])
+        items = ("," + newlines[depth + 1]).join(column(xs, depth + 1))
         return "".join(("[", newlines[depth + 1], items, newlines[depth], "]"))
 
     def column(xs, depth: int):
@@ -259,9 +226,13 @@ def _encode(doc) -> str:
             return map(text, xs)
         kinds = set(map(type, xs))
         if kinds == {dict}:
-            rows = table(xs, depth)
-            if rows is not None:
-                return rows
+            keys = tuple(xs[0])
+            if keys and all(map(keys.__eq__, map(tuple, xs))):
+                # a table: each row filled in from one template, a key at a time
+                order, lines = shape(keys, depth)
+                columns = [column(list(map(itemgetter(k), xs)), depth + 1) for k in order]
+                row = "{}".join(line.replace("{", "{{").replace("}", "}}") for line in lines)
+                return map((row + "{}" + newlines[depth] + "}}").format, *columns)
         elif kinds <= {list, tuple} and all(xs):
             text = _scalar_text(list(chain.from_iterable(xs)))
             if text is not None:
@@ -270,47 +241,27 @@ def _encode(doc) -> str:
                 return map(brackets.format, map(("," + inner).join, map(map, repeat(text), xs)))
         return [value(x, depth) for x in xs]
 
-    def table(ds: list[dict], depth: int) -> list[str] | None:
-        """The texts of dicts that share one key order, built a key at a
-        time; None when they do not, or when a column fails."""
-        keys = tuple(ds[0])
-        if set(map(type, chain.from_iterable(ds))) != {str}:
-            return None
-        if not all(map(keys.__eq__, map(tuple, ds))):
-            return None
-        order, lines = shape(keys, depth)
-        try:
-            with entered(ds):
-                columns = [column(list(map(itemgetter(k), ds)), depth + 1) for k in order]
-                row = "{}".join(line.replace("{", "{{").replace("}", "}}") for line in lines)
-                return list(map((row + "{}" + newlines[depth] + "}}").format, *columns))
-        except (TypeError, ValueError):
-            return None
-
     def shape(keys: tuple, depth: int) -> tuple[list[str], list[str]]:
         """Sorted keys and their lines, for a key order of exact ``str`` keys."""
+        if set(map(type, keys)) != {str}:
+            raise _Foreign
         found = shapes.get((keys, depth))
         if found is None:
             order = sorted(keys)
             found = shapes[keys, depth] = (order, _key_lines(order, newlines[depth + 1]))
         return found
 
-    def obj(d, depth: int) -> str:
+    def obj(d: dict, depth: int) -> str:
         if not d:
             return "{}"
-        with entered((d,)):
-            if type(d) is dict and set(map(type, d)) == {str}:
-                order, lines = shape(tuple(d), depth)
-                values = [value(d[k], depth + 1) for k in order]
-            else:
-                keys, values = [], []
-                for k, v in sorted(d.items()):
-                    keys.append(_key_text(k))
-                    values.append(value(v, depth + 1))
-                lines = _key_lines(keys, newlines[depth + 1])
+        order, lines = shape(tuple(d), depth)
+        values = [value(d[k], depth + 1) for k in order]
         return "".join([*chain.from_iterable(zip(lines, values)), newlines[depth], "}"])
 
-    return value(doc, 0)
+    try:
+        return value(doc, 0)
+    except (_Foreign, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 def _key_lines(keys: list[str], inner: str) -> list[str]:

@@ -40,7 +40,6 @@ derive their seed via ``derive_seed(seed, replica)``.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -548,18 +547,17 @@ class EventSystem:
     @property
     def neighbors(self) -> list[list[int]]:
         if self._neighbors is None:
-            per_edge = Counter(e for ev in self.events for e in ev.variable_set)
-            bound = sum(c * c for c in per_edge.values())
+            by_edge: dict[int, list[int]] = {}
+            for i, ev in enumerate(self.events):
+                for e in ev.variable_set:
+                    by_edge.setdefault(e, []).append(i)
+            bound = sum(len(ids) ** 2 for ids in by_edge.values())
             if bound > NEIGHBOR_TERM_GUARD:
                 raise SizeGuardError(
                     f"neighbourhoods of {len(self.events)} events may hold up "
                     f"to {bound} terms (the sum of squared events per edge), "
                     f"over the guard {NEIGHBOR_TERM_GUARD}"
                 )
-            by_edge: dict[int, list[int]] = {}
-            for i, ev in enumerate(self.events):
-                for e in ev.variable_set:
-                    by_edge.setdefault(e, []).append(i)
             neighbors: list[list[int]] = []
             for i, ev in enumerate(self.events):
                 seen = set()

@@ -203,15 +203,6 @@ def count_cycles(view, s: int) -> CycleCount:
     return CycleCount(labeled=2 * s * distinct, distinct=distinct)
 
 
-def cycle_edges(g: Graph, cycle: Sequence[int]) -> list[tuple[int, int]]:
-    """The edge pairs of a cycle given as a vertex sequence."""
-    out = []
-    for i, u in enumerate(cycle):
-        v = cycle[(i + 1) % len(cycle)]
-        out.append((u, v) if u < v else (v, u))
-    return out
-
-
 def _greedy_clique(adj: list[int], n: int) -> list[int]:
     """Deterministic greedy clique: highest degree first, ties by index."""
     if n == 0:
@@ -620,28 +611,3 @@ def family_girth_reduction(forbidden: Sequence) -> FamilyReduction:
     return FamilyReduction(
         shortest_cycle_lengths=lengths, required_girth=max(lengths)
     )
-
-
-def verify_independent_set(view, vertices: Sequence[int]) -> bool:
-    """True iff the vertex set spans no edge of the view's graph."""
-    g = as_graph(view)
-    vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        return False
-    return all(not g.has_edge(u, v) for u, v in combinations(vs, 2))
-
-
-def verify_coloring(view, color_of: Sequence[int]) -> bool:
-    """True iff the color assignment is a proper coloring of the view."""
-    g = as_graph(view)
-    if len(color_of) != g.num_vertices:
-        return False
-    return all(color_of[u] != color_of[v] for u, v in g.edge_list)
-
-
-def verify_cycle(view, cycle: Sequence[int]) -> bool:
-    """True iff the vertex sequence is a simple cycle of the view's graph."""
-    g = as_graph(view)
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        return False
-    return all(g.has_edge(u, v) for u, v in cycle_edges(g, cycle))

@@ -64,6 +64,43 @@ from highgirth.solvers import (
 )
 
 
+# --- witness checks ---------------------------------------------------------
+
+
+def verify_independent_set(view, vertices: Sequence[int]) -> bool:
+    """True iff the vertex set spans no edge of the view's graph."""
+    g = as_graph(view)
+    vs = list(vertices)
+    if len(set(vs)) != len(vs):
+        return False
+    return all(not g.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
+def verify_coloring(view, color_of: Sequence[int]) -> bool:
+    """True iff the color assignment is a proper coloring of the view."""
+    g = as_graph(view)
+    if len(color_of) != g.num_vertices:
+        return False
+    return all(color_of[u] != color_of[v] for u, v in g.edge_list)
+
+
+def verify_cycle(view, cycle: Sequence[int]) -> bool:
+    """True iff the vertex sequence is a simple cycle of the view's graph."""
+    g = as_graph(view)
+    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
+        return False
+    return all(g.has_edge(u, v) for u, v in cycle_edges(g, cycle))
+
+
+def cycle_edges(g: Graph, cycle: Sequence[int]) -> list[tuple[int, int]]:
+    """The edge pairs of a cycle given as a vertex sequence."""
+    out = []
+    for i, u in enumerate(cycle):
+        v = cycle[(i + 1) % len(cycle)]
+        out.append((u, v) if u < v else (v, u))
+    return out
+
+
 def edge_set(edges):
     return {frozenset(e) for e in edges}
 

@@ -42,7 +42,6 @@ from highgirth import (
     verify_unit_distance,
 )
 from highgirth.model import KIND_CYCLE, KIND_INDEPENDENT_SET
-from highgirth.solvers import verify_coloring, verify_independent_set
 
 from oracles import (
     alpha_exhaustive,
@@ -51,6 +50,8 @@ from oracles import (
     count_distinct_cycles,
     girth_exhaustive,
     split_neighbors,
+    verify_coloring,
+    verify_independent_set,
 )
 from test_lll import random_feasible_log_form_system
 

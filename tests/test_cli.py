@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -123,6 +124,16 @@ def test_solve_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--graph", str(bad), "--what", "girth")
     assert code == 1
     assert "line 2" in err
+
+
+def test_solve_refuses_oversized_dimacs_files_at_once(tmp_path, capsys):
+    huge = tmp_path / "huge.dimacs"
+    huge.write_text("p edge 100000000 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--graph", str(huge), "--what", "girth")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert "100000000 vertices exceed the guard 12870" in err
 
 
 def test_sample_is_seed_deterministic(tmp_path, capsys):
@@ -643,3 +654,52 @@ def test_usage_errors_exit_1(capsys):
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "gen", "--help")[0] == 0
+
+
+def test_package_documents_never_reach_the_json_fallback(tmp_path, capsys, monkeypatch):
+    # dump_json gives a document to json.dumps only when it holds a type the
+    # package does not write; with that fallback made to raise, every
+    # subcommand still writes json.dumps's bytes
+    monkeypatch.chdir(tmp_path)
+    for style, multiplier in (("general", 0.001), ("bollobas", 1.5)):
+        (tmp_path / f"{style}.json").write_text(  # one multiplier per triangle of G_4
+            json.dumps({"style": style, "multipliers": [multiplier] * 8})
+        )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a package document reached json.dumps")
+
+    got = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dumps", refuse)
+
+        def emit(*argv, code=0):
+            result, got[argv], _ = run(capsys, *argv)
+            assert result == code, argv
+
+        assert run(capsys, "gen", "--n", "1")[0] == 0
+        got["vertex JSON"] = (tmp_path / "g4.vertices.json").read_text()
+        for what in ("girth", "alpha", "chi", "cycles"):
+            emit("solve", "--graph", "g4.dimacs", "--what", what)
+        emit("sample", "--n", "1", "--p", "0.4", "--seed", "5")
+        emit("events", "--n", "1", "--k", "3", "--p", "0.05", "--out", "cycles.json")
+        emit("events", "--n", "1", "--l", "3", "--k", "3", "--p", "0.05", "--out", "mixed.json")
+        emit("lll-check", "--events", "mixed.json", "--recipe-multipliers", code=2)
+        for style in ("general", "bollobas"):
+            emit("lll-check", "--events", "cycles.json", "--assignment", f"{style}.json")
+        emit("params", "--k", "4", "--delta", "0.5")
+        emit("params", "--k", str(10**16), "--delta", "0.5", code=2)  # epsilon rounds to 0
+        emit("scan", "--delta", "0.5")
+        emit("search", "--n", "1", "--k", "3", "--l", "4", "--p", "0.5", "--seed", "0",
+             "--subset-events", "on", "--max-resamples", "500")
+        emit("search", "--n", "1", "--k", "3", "--l", "2", "--p", "1.0", "--seed", "0",
+             "--method", "mt", code=2)
+        emit("search", "--n", "1", "--k", "3", "--p", "0.5", "--seed", "2",
+             "--method", "delete", "--out", "cert.json")
+        emit("certify", "--n", "1", "--graph", "g4.dimacs", "--k", "2", "--l", "2")
+        emit("certify", "--n", "1", "--graph", "g4.dimacs", "--k", "3", "--l", "2", code=2)
+        assert run(capsys, "export", "--certificate", "cert.json", "--format", "json")[0] == 0
+        got["exported certificate"] = (tmp_path / "certificate-n1-k3.json").read_text()
+
+    for name, text in got.items():
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from highgirth import Graph, dimacs
+from highgirth import Graph, SizeGuardError, dimacs
 from highgirth.dimacs import (
     DimacsError,
     dump_json,
@@ -76,6 +76,14 @@ def test_declared_count_mismatch():
 def test_missing_problem_line():
     with pytest.raises(DimacsError, match="missing problem line"):
         read_dimacs(io.StringIO("c nothing here\n"))
+
+
+def test_reader_refuses_more_vertices_than_the_largest_base_graph():
+    # G_16 has C(16, 8) = 12,870 vertices, the most the dimension guard allows
+    assert read_dimacs(io.StringIO("p edge 12870 0\n")).num_vertices == 12870
+    # refused at the problem line: the bad edge line after it is never read
+    with pytest.raises(SizeGuardError, match="line 1: 12871 vertices exceed the guard 12870"):
+        read_dimacs(io.StringIO("p edge 12871 1\ne 1 x\n"))
 
 
 def test_vertex_json(g4, tmp_path):

@@ -30,10 +30,9 @@ from highgirth.model import (
     kept_cycle_blocks,
 )
 from highgirth.graphs import BitVertex
-from highgirth.solvers import cycle_edges
 
 import oracles
-from oracles import enumerate_cycles, occurring_events, occurs, split_neighbors
+from oracles import cycle_edges, enumerate_cycles, occurring_events, occurs, split_neighbors
 
 
 def test_params_validation():

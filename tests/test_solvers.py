@@ -26,12 +26,7 @@ from highgirth import solvers
 from highgirth.graphs import iter_bits
 from highgirth.model import ModelParams, sample_subgraph
 from highgirth.search import certify, deletion_method
-from highgirth.solvers import (
-    _Budget,
-    verify_coloring,
-    verify_cycle,
-    verify_independent_set,
-)
+from highgirth.solvers import _Budget
 
 import oracles
 from oracles import (
@@ -39,6 +34,9 @@ from oracles import (
     chi_exhaustive,
     count_distinct_cycles,
     girth_exhaustive,
+    verify_coloring,
+    verify_cycle,
+    verify_independent_set,
 )
 
 
