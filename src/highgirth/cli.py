@@ -7,8 +7,10 @@ errors.
 
 Every randomized command takes ``--seed`` (default 0, echoed in the
 output) and is deterministic end to end.  A ``--config`` file may supply
-defaults as flat ``key = value`` lines mirroring the flags, each checked
-as its flag would be; explicit flags win.  The environment variable ``HIGHGIRTH_OUT`` sets the default
+defaults for optional flags as flat ``key = value`` lines mirroring the
+flags, each checked as its flag would be; explicit flags win.  Required
+flags such as ``--n`` must be given on the command line even when the file
+names them.  The environment variable ``HIGHGIRTH_OUT`` sets the default
 output directory.
 """
 
@@ -19,6 +21,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -90,17 +93,12 @@ def _resolve_seed(args) -> int:
     return args.seed
 
 
-def _edge_probability(args, n: int) -> float:
-    """``--p`` if given, else ``--gamma ** (4n)``; one of the two is required,
-    and ``ModelParams`` range-checks it."""
+def _model_params(args, seed: int = 0) -> ModelParams:
+    """The model of ``--n`` and ``--gamma`` or ``--p``, one of which is
+    required, with ``seed``; ``ModelParams`` range-checks every value."""
     if args.p is None and args.gamma is None:
         raise _UsageError("one of --gamma or --p is required")
-    return ModelParams(n=n, gamma=args.gamma, p_override=args.p).p
-
-
-def _model_params(args, n: int) -> ModelParams:
-    _edge_probability(args, n)
-    return ModelParams(n=n, gamma=args.gamma, seed=_resolve_seed(args), p_override=args.p)
+    return ModelParams(n=args.n, gamma=args.gamma, seed=seed, p_override=args.p)
 
 
 def _budget(args) -> SolveBudget:
@@ -139,7 +137,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sample(args) -> int:
     g = build_base_graph(args.n)
-    params = _model_params(args, args.n)
+    params = replace(_model_params(args), seed=_resolve_seed(args))
     sub = sample_subgraph(g, params)
     out = _output_dir(args)
     prefix = f"sample-n{args.n}-seed{params.seed}"
@@ -160,7 +158,7 @@ def cmd_sample(args) -> int:
 
 def cmd_events(args) -> int:
     g = build_base_graph(args.n)
-    p = _edge_probability(args, args.n)
+    p = _model_params(args).p
     system = build_event_system(g, args.k, args.l, p)
     doc = {"n": args.n, "p": p, "l": args.l, "k": args.k, **system.to_json()}
     _emit(doc, args)
@@ -283,7 +281,7 @@ def cmd_scan(args) -> int:
 def _search_once(args, seed: int) -> GirthCertificate | SearchFailure:
     """One search restart; module-level so process pools can run it."""
     g = build_base_graph(args.n)
-    params = ModelParams(n=args.n, gamma=args.gamma, seed=seed, p_override=args.p)
+    params = _model_params(args, seed)
     if args.method == "delete":
         return deletion_method(g, params, args.k, alpha_budget=_budget(args))
     return moser_tardos_search(
@@ -303,7 +301,9 @@ def _worker_count(jobs: int, restarts: int) -> int:
 def cmd_search(args) -> int:
     if args.method == "mt" and args.l is None:
         raise _UsageError("--l is required for the mt method")
-    _edge_probability(args, args.n)
+    if args.restarts < 1:
+        raise _UsageError(f"--restarts must be at least 1, got {args.restarts}")
+    _model_params(args)  # usage and range errors before any restart runs
     base_seed = _resolve_seed(args)
     seeds = [base_seed] + [derive_seed(base_seed, r) for r in range(1, args.restarts)]
     search = partial(_search_once, args)

@@ -342,6 +342,12 @@ class EdgeSubset:
     def from_hex(cls, base: BaseGraph, hex_mask: str) -> "EdgeSubset":
         return cls(base, int(hex_mask, 16))
 
+    @classmethod
+    def from_kept(cls, base: BaseGraph, kept: np.ndarray) -> "EdgeSubset":
+        """The subset of the edges flagged in a boolean array; inverts ``_index_array``."""
+        packed = np.packbits(kept, bitorder="little")
+        return cls(base, int.from_bytes(packed.tobytes(), "little"))
+
     @property
     def num_edges(self) -> int:
         return self.mask.bit_count()

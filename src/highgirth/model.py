@@ -17,10 +17,10 @@ length s holding the canonical vertex tuples and the ascending edge ids.
 One path-growth kernel, ``_PathKernel``, is the package's only cycle
 enumerator.  Its ``cycle_rows`` lists a graph's s-cycles, all roots in one
 batch when they fit the guard and otherwise root by root.
-``cycle_blocks`` joins those rows for the base graph, and
-``kept_cycle_blocks`` for a kept-edge subgraph, with the base edge ids:
-those rows are exactly the base cycle events occurring on the subgraph, in
-event order, which is all a resampling search needs.  The deletion search
+``cycle_blocks`` joins those rows for a graph or, given a kept-edge
+array, for that subgraph with the base edge ids: those rows are exactly
+the base cycle events occurring on the subgraph, in event order, which is
+all a resampling search needs.  The deletion search
 walks the same rows with no guard on their total.  ``solvers.count_cycles``
 counts a graph's cycles root by root without listing them (a popcount
 closes each path), and ``count_cycle_blocks`` counts the base graph's
@@ -33,8 +33,9 @@ read.
 
 PRNG contract: sampling uses NumPy's PCG64 stream seeded with the model
 seed, drawing one uniform per base edge in canonical edge-list order;
-edge ``i`` is kept iff draw ``i`` is below ``p``.  Parallel replicas must
-derive their seed via ``derive_seed(seed, replica)``.
+edge ``i`` is kept iff draw ``i`` is below ``p``.  ``_draw`` alone draws:
+the sample, and then the redraws of a resampling search.  Parallel
+replicas must derive their seed via ``derive_seed(seed, replica)``.
 """
 
 from __future__ import annotations
@@ -121,22 +122,22 @@ def derive_seed(seed: int, replica: int) -> int:
     return int(np.random.SeedSequence([seed, replica]).generate_state(1)[0])
 
 
-def _stream(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _draw(g: BaseGraph, params: ModelParams):
+    """``(draw, kept)``: ``draw(m)`` keeps each of m edges iff its next uniform
+    is below p, and ``kept`` is the sample, ``draw`` over the base edges."""
+    if params.n != g.n:
+        raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
+    rng = np.random.Generator(np.random.PCG64(params.seed))
+
+    def draw(size: int) -> np.ndarray:
+        return rng.random(size) < params.p
+
+    return draw, draw(g.num_edges)
 
 
 def sample_subgraph(g: BaseGraph, params: ModelParams) -> EdgeSubset:
     """Draw a random spanning subgraph; identical inputs give identical masks."""
-    if params.n != g.n:
-        raise ValueError(f"params built for n={params.n}, graph has n={g.n}")
-    kept = _stream(params.seed).random(g.num_edges) < params.p
-    return EdgeSubset(g, _pack_mask(kept))
-
-
-def _pack_mask(kept: np.ndarray) -> int:
-    """Edge mask (bit i = edge i) of a boolean kept-edge array."""
-    packed = np.packbits(kept, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
+    return EdgeSubset.from_kept(g, _draw(g, params)[1])
 
 
 def log_probability(g: BaseGraph, sub: EdgeSubset, p: float) -> float:
@@ -176,12 +177,13 @@ class EventSpec:
         return self.kind == KIND_INDEPENDENT_SET and not self.variable_set
 
     def to_json(self) -> dict:
+        """The event's document; ``dimacs.dump_json`` writes its tuples as arrays."""
         return {
             "kind": self.kind,
-            "variable_set": list(self.variable_set),
+            "variable_set": self.variable_set,
             "meta": self.meta,
             "probability": self.probability,
-            "members": list(self.members),
+            "members": self.members,
         }
 
 
@@ -253,26 +255,31 @@ class CycleBlock:
         return len(self.members)
 
 
-def cycle_blocks(g: Graph, k: int) -> list[CycleBlock]:
+def cycle_blocks(g: Graph, k: int, kept: np.ndarray | None = None) -> list[CycleBlock]:
     """One block per cycle length 3..k, rows in canonical lexicographic order.
 
-    The rows come from ``_PathKernel.cycle_rows``, whose paths expand into
-    their candidates in ascending order with their children contiguous.
+    With a boolean ``kept``, only the flagged edges of ``g`` count: the rows
+    are the cycles of ``g`` that survive, edge ids unchanged.  The rows come
+    from ``_PathKernel.cycle_rows``, whose paths expand into their
+    candidates in ascending order with their children contiguous.
     ``SizeGuardError`` is raised before the running total of cycles (over
     all lengths) or the open paths of one root pass
     ``EVENT_ENUMERATION_GUARD``.
     """
-    return _cycle_blocks(_PathKernel(g), k)
-
-
-def kept_cycle_blocks(g: Graph, kept: np.ndarray, k: int) -> list[CycleBlock]:
-    """``cycle_blocks`` of the subgraph keeping the edges flagged in ``kept``.
-
-    The edge ids are those of ``g``, so the rows are exactly the cycles of
-    ``g`` that survive in the subgraph, in the same relative order, with
-    the guard of ``cycle_blocks``.
-    """
-    return _cycle_blocks(_PathKernel(g, kept), k)
+    kernel = _PathKernel(g, kept)
+    guard = EVENT_ENUMERATION_GUARD
+    total = 0
+    blocks = []
+    for s in range(3, k + 1):
+        found = [np.empty((0, s), np.int32)]
+        for rows in kernel.cycle_rows(s, k):
+            total += len(rows)
+            if total > guard:
+                raise _too_many_cycles(k, guard)
+            found.append(rows)
+        rows = np.concatenate(found)
+        blocks.append(CycleBlock(s, rows, kernel.edge_ids(rows)))
+    return blocks
 
 
 def count_cycle_blocks(g: BaseGraph, k: int) -> int:
@@ -326,23 +333,6 @@ def _check_full_base_graph(g) -> None:
     raise ValueError("the cycle count from one vertex needs the full base graph")
 
 
-def _cycle_blocks(kernel, k):
-    """The blocks of lengths 3..k, under the running-total guard."""
-    guard = EVENT_ENUMERATION_GUARD
-    total = 0
-    blocks = []
-    for s in range(3, k + 1):
-        found = [np.empty((0, s), np.int32)]
-        for rows in kernel.cycle_rows(s, k):
-            total += len(rows)
-            if total > guard:
-                raise _too_many_cycles(k, guard)
-            found.append(rows)
-        rows = np.concatenate(found)
-        blocks.append(CycleBlock(s, rows, kernel.edge_ids(rows)))
-    return blocks
-
-
 def _too_many_cycles(k, guard):
     return SizeGuardError(f"cycles of length 3..{k} exceed the enumeration guard {guard}")
 
@@ -368,15 +358,11 @@ class _PathKernel:
         max_degree = int(np.diff(self.indptr).max(initial=0))
         self.step = max(1, _STEP_CANDIDATES // max(1, max_degree))  # paths per step
 
-    def starts(self, root: int | None = None) -> np.ndarray:
-        """The paths (root, v1) with v1 above the root: of one root, or of all."""
-        if root is None:
-            roots = np.repeat(np.arange(self.num_vertices, dtype=np.int32),
-                              np.diff(self.indptr))
-            return np.column_stack((roots, self.nbrs))[self.nbrs > roots]
-        first = self.nbrs[self.indptr[root]:self.indptr[root + 1]]
-        first = first[first > root]
-        return np.column_stack((np.full(len(first), root, np.int32), first))
+    def starts(self, lo: int, hi: int) -> np.ndarray:
+        """The paths (root, v1) with v1 above the root, of roots lo..hi-1."""
+        roots = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(self.indptr[lo:hi + 1]))
+        first = self.nbrs[self.indptr[lo]:self.indptr[hi]]
+        return np.column_stack((roots, first))[first > roots]
 
     def open_paths(self, paths, s, limit):
         """``paths`` grown to the s - 1 vertices an s-cycle closes from, or None
@@ -397,7 +383,7 @@ class _PathKernel:
         cycles-of-length-3..k error; too many open paths, the open-path one.
         """
         guard = EVENT_ENUMERATION_GUARD
-        paths = self.open_paths(self.starts(), s, guard)
+        paths = self.open_paths(self.starts(0, self.num_vertices), s, guard)
         rows = None if paths is None else self.grow(paths, guard, close=True)
         if rows is not None:
             yield rows
@@ -408,12 +394,6 @@ class _PathKernel:
                 raise _too_many_cycles(k, guard)
             yield rows
 
-    def root_counts(self, s):
-        """Yield the number of s-cycles of each root in turn; open paths as in
-        ``cycle_rows``."""
-        for root in range(self.num_vertices):
-            yield self.count_closing(self.root_paths(s, root))
-
     def edge_ids(self, rows):
         """The ascending edge ids of each cycle row."""
         edge_ids = self.eid[rows, np.roll(rows, -1, axis=1)]
@@ -423,7 +403,7 @@ class _PathKernel:
     def root_paths(self, s, root):
         """One root's open paths towards s-cycles; ``SizeGuardError`` past the guard."""
         guard = EVENT_ENUMERATION_GUARD
-        paths = self.open_paths(self.starts(root), s, guard)
+        paths = self.open_paths(self.starts(root, root + 1), s, guard)
         if paths is None:
             raise SizeGuardError(
                 f"open paths from vertex {root} towards {s}-cycles "

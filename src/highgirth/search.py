@@ -5,12 +5,12 @@ Two strategies produce certified subgraphs of a base graph:
 * Moser-Tardos resampling: draw every edge Bernoulli(p), then repeatedly
   pick the violated event with the lowest canonical index and redraw its
   edge set, until no bad event holds or the resample budget runs out.
-  The subgraph is a boolean array over the base edges.  The cycle events
-  that hold on it are exactly the cycles of the kept graph, so each round
-  lists those (``model.kept_cycle_blocks``) and tests the few subset
-  events; the base graph's cycles are only counted, once per search and
-  from one vertex (``model.count_cycle_blocks``), for the guard and the
-  default budget.
+  The subgraph is a boolean array over the base edges, drawn and redrawn
+  by ``model._draw``.  Its occurring cycle events are exactly the cycles of
+  the kept graph, so each round lists those (``model.cycle_blocks`` of the
+  kept array) and tests the few subset events; the base graph's cycles are
+  only counted, once per search and from one vertex
+  (``model.count_cycle_blocks``), for the guard and the default budget.
 * deletion method: draw once, then repeatedly find the canonically first
   shortest cycle of length <= k and delete its smallest edge; termination
   and the girth guarantee are unconditional.  Each length's cycles are
@@ -25,7 +25,7 @@ stored certificate by rerunning ``certify`` on its mask, and
 ``chi_lower`` and ``empirical_rate``.
 
 Randomness follows the model's PRNG contract: the first ``num_edges``
-draws of the PCG64 stream are the initial sample (identical to
+draws of the PCG64 stream are the initial sample (``model._draw``, as in
 ``sample_subgraph``), and each resampling consumes one further draw per
 edge of the resampled event, in ascending edge-index order.
 """
@@ -43,11 +43,10 @@ from .graphs import BaseGraph, EdgeSubset, Graph
 from .model import (
     ModelParams,
     _PathKernel,
-    _pack_mask,
-    _stream,
+    _draw,
     count_cycle_blocks,
+    cycle_blocks,
     enumerate_independent_set_events,
-    kept_cycle_blocks,
     sample_subgraph,
 )
 from .solvers import (
@@ -331,7 +330,8 @@ def moser_tardos_search(
     fits ``model.EVENT_ENUMERATION_GUARD``.  The default budget is ten
     resamples per event.  Budget exhaustion and certification rejections
     come back as ``SearchFailure`` values, never exceptions; more than
-    ``EVENT_ENUMERATION_GUARD`` base cycles raise ``SizeGuardError``.
+    ``EVENT_ENUMERATION_GUARD`` base cycles raise ``SizeGuardError``, and a
+    negative budget or ``params`` built for another n raise ``ValueError``.
 
     The subgraph is a boolean kept-edge array.  The avoidable subset
     events' edge ids lie end to end in one array, with each event's start
@@ -343,6 +343,9 @@ def moser_tardos_search(
     the first occurring subset event or else the first row of the shortest
     non-empty length.
     """
+    if max_resamples is not None and max_resamples < 0:
+        raise ValueError(f"resample budget must be >= 0, got {max_resamples}")
+    draw, kept = _draw(g, params)
     p = params.p
     nv = g.num_vertices
     guard = model.EVENT_ENUMERATION_GUARD
@@ -371,15 +374,13 @@ def moser_tardos_search(
     size = len(subsets) + count_cycle_blocks(g, k)
     if max_resamples is None:
         max_resamples = 10 * size
-    rng = _stream(params.seed)
-    kept = rng.random(g.num_edges) < p
     history = []
     resamples = 0
     while True:
         occurring = np.zeros(0, dtype=bool)
         if subsets:
             occurring = ~np.logical_or.reduceat(kept[subset_ids], subset_starts[:-1])
-        cycles = kept_cycle_blocks(g, kept, k)
+        cycles = cycle_blocks(g, k, kept)
         violated = int(np.count_nonzero(occurring)) + sum(map(len, cycles))
         history.append(violated)
         if not violated:
@@ -396,9 +397,9 @@ def moser_tardos_search(
             edge_ids = subset_ids[subset_starts[i]:subset_starts[i + 1]]
         else:
             edge_ids = next(b.edge_ids[0] for b in cycles if len(b))
-        kept[edge_ids] = rng.random(len(edge_ids)) < p
+        kept[edge_ids] = draw(len(edge_ids))
         resamples += 1
-    sub = EdgeSubset(g, _pack_mask(kept))
+    sub = EdgeSubset.from_kept(g, kept)
     try:
         cert = certify(
             sub, k, l,
@@ -432,9 +433,8 @@ def deletion_method(
     one short cycle.  An exhausted alpha budget or a refused certification
     comes back as a ``SearchFailure`` with l = 0.
     """
-    sub = sample_subgraph(g, params)
     kept = np.zeros(g.num_edges, dtype=bool)
-    kept[sub.edge_indices()] = True
+    kept[sample_subgraph(g, params).edge_indices()] = True
     alive = bytearray(kept)  # per-edge lookups read a bytearray fastest
     for s in range(3, k + 1):
         # the s-cycles of the graph kept so far, in canonical order; a row
@@ -445,7 +445,7 @@ def deletion_method(
             for edge_ids in kernel.edge_ids(rows).tolist():
                 if all(map(alive.__getitem__, edge_ids)):
                     alive[edge_ids[0]] = 0
-    final = EdgeSubset(g, _pack_mask(np.frombuffer(alive, dtype=bool)))
+    final = EdgeSubset.from_kept(g, np.frombuffer(alive, dtype=bool))
     graph = final.to_graph()
     alpha_result = independence_number(graph, alpha_budget)
     try:

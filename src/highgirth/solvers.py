@@ -18,11 +18,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from . import model
 from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
-from .model import _PathKernel
-
-#: Exhaustive subset scans refuse above this many subsets by default.
-SUBSET_SCAN_GUARD = 500_000
 
 
 class ForestError(ValueError):
@@ -199,7 +196,8 @@ def count_cycles(view, s: int) -> CycleCount:
     g = as_graph(view)
     if s > g.num_vertices:  # a simple cycle repeats no vertex
         return CycleCount(labeled=0, distinct=0)
-    distinct = sum(_PathKernel(g).root_counts(s))
+    kernel = model._PathKernel(g)
+    distinct = sum(kernel.count_closing(kernel.root_paths(s, r)) for r in range(g.num_vertices))
     return CycleCount(labeled=2 * s * distinct, distinct=distinct)
 
 
@@ -509,23 +507,23 @@ def edges_within(view, subset) -> int:
 def min_edges_over_subsets(
     view,
     l: int,
-    guard: int = SUBSET_SCAN_GUARD,
     heuristic: bool = False,
     seed: int = 0,
     restarts: int = 20,
 ) -> SolveResult:
     """Minimum induced edge count over all l-element vertex subsets.
 
-    Exhaustive below ``guard`` subsets (exact, with early exit at zero);
-    above the guard a seeded swap-based local search runs instead when
-    ``heuristic`` is set, returning an upper bound on the minimum with
-    ``exact=False``.
+    Exhaustive up to ``model.EVENT_ENUMERATION_GUARD`` subsets, read at
+    call time (exact, with early exit at zero); above the guard a seeded
+    swap-based local search runs instead when ``heuristic`` is set,
+    returning an upper bound on the minimum with ``exact=False``.
     """
     g = as_graph(view)
     n = g.num_vertices
     if not 1 <= l <= n:
         raise ValueError(f"subset size {l} outside [1, {n}]")
     total = comb(n, l)
+    guard = model.EVENT_ENUMERATION_GUARD
     if total <= guard:
         best = None
         best_subset = None

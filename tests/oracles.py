@@ -36,8 +36,6 @@ from highgirth.model import (
     ModelParams,
     _PathKernel,
     _edge_id_matrix,
-    _pack_mask,
-    _stream,
     _too_many_cycles,
     cycle_blocks,
     sample_subgraph,
@@ -754,8 +752,8 @@ def count_cycle_blocks(g: Graph, k: int) -> int:
     guard = model.EVENT_ENUMERATION_GUARD
     total = 0
     for s in range(3, k + 1):
-        for count in kernel.root_counts(s):
-            total += count
+        for root in range(g.num_vertices):
+            total += kernel.count_closing(kernel.root_paths(s, root))
             if total > guard:
                 raise _too_many_cycles(k, guard)
     return total
@@ -861,7 +859,7 @@ def moser_tardos_search(
         )
     if max_resamples is None:
         max_resamples = 10 * len(system)
-    rng = _stream(params.seed)
+    rng = np.random.Generator(np.random.PCG64(params.seed))
     kept = rng.random(g.num_edges) < p
     history = []
     resamples = 0
@@ -881,7 +879,7 @@ def moser_tardos_search(
         edge_ids = system.variable_set(int(occurring.argmax()))
         kept[edge_ids] = rng.random(len(edge_ids)) < p
         resamples += 1
-    sub = EdgeSubset(g, _pack_mask(kept))
+    sub = EdgeSubset.from_kept(g, kept)
     try:
         cert = certify(
             sub, k, l,

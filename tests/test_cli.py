@@ -370,6 +370,22 @@ def test_search_restarts_recover(capsys):
     assert out2 == out
 
 
+def test_search_refuses_negative_budgets(tmp_path, capsys):
+    base = ("search", "--n", "1", "--k", "3", "--l", "4", "--p", "0.5", "--seed", "0")
+    code, out, err = run(capsys, *base, "--max-resamples", "-1")
+    assert (code, out) == (1, "")
+    assert err == "error: resample budget must be >= 0, got -1\n"
+    config = tmp_path / "run.conf"
+    config.write_text("max-resamples = -1\n")
+    code, out, err = run(capsys, *base, "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == "error: resample budget must be >= 0, got -1\n"
+    for restarts in ("0", "-2"):
+        code, out, err = run(capsys, *base, "--restarts", restarts)
+        assert (code, out) == (1, "")
+        assert err == f"error: --restarts must be at least 1, got {restarts}\n"
+
+
 def test_search_jobs_clamped_to_restarts_and_cpus(monkeypatch, capsys):
     import concurrent.futures
     import os

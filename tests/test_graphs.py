@@ -200,6 +200,24 @@ def test_edge_indices_match_iter_bits(g8, mask):
     assert EdgeSubset(g8, mask).edge_indices() == list(iter_bits(mask))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_from_kept_inverts_edge_indices(g4, g8, n, data):
+    g = {1: g4, 2: g8}[n]
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << g.num_edges) - 1))
+    kept = np.zeros(g.num_edges, dtype=bool)
+    kept[EdgeSubset(g, mask).edge_indices()] = True
+    assert EdgeSubset.from_kept(g, kept).mask == mask
+
+
+def test_from_kept_of_no_edges_and_all_edges(g4, g8):
+    for g in (g4, g8):
+        assert EdgeSubset.from_kept(g, np.zeros(g.num_edges, dtype=bool)).mask == 0
+        full = EdgeSubset.from_kept(g, np.ones(g.num_edges, dtype=bool))
+        assert full.mask == EdgeSubset.full(g).mask
+
+
 def test_graph_canonicalises_and_validates_edges():
     g = Graph(5, [(3, 1), (0, 4), (1, 0), (2, 3)])
     assert g.edge_list == [(0, 1), (0, 4), (1, 3), (2, 3)]

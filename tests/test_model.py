@@ -27,7 +27,6 @@ from highgirth.model import (
     EventSpec,
     ModelParams,
     count_cycle_blocks,
-    kept_cycle_blocks,
 )
 from highgirth.graphs import BitVertex
 
@@ -352,7 +351,7 @@ def test_orbit_count_refuses_all_but_the_full_base_graph(g4):
 
 
 def assert_kept_rows_are_the_surviving_rows(g, kept, k):
-    kept_blocks = kept_cycle_blocks(g, kept, k)
+    kept_blocks = cycle_blocks(g, k, kept)
     base_blocks = cycle_blocks(g, k)
     assert [b.s for b in kept_blocks] == [b.s for b in base_blocks]
     for got, base in zip(kept_blocks, base_blocks):
@@ -383,11 +382,11 @@ def test_kept_scan_falls_back_to_one_root_at_a_time(g4, monkeypatch):
     # at most 12: guard 23 takes the per-root loop and still lists all 23
     kept = np.ones(g4.num_edges, dtype=bool)
     monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 23)
-    blocks = kept_cycle_blocks(g4, kept, 4)
+    blocks = cycle_blocks(g4, 4, kept)
     for got, base in zip(blocks, cycle_blocks(g4, 4)):
         assert np.array_equal(got.members, base.members)
         assert np.array_equal(got.edge_ids, base.edge_ids)
-    assert guard_message(monkeypatch, 22, kept_cycle_blocks, g4, kept, 4) == guard_message(
+    assert guard_message(monkeypatch, 22, cycle_blocks, g4, 4, kept) == guard_message(
         monkeypatch, 22, cycle_blocks, g4, 4
     )
 

@@ -218,6 +218,39 @@ def test_mt_budget_exhaustion_reports_statistics(g4):
     assert out.violated_history[0] > 0
 
 
+def test_mt_refuses_a_negative_budget(g4):
+    with pytest.raises(ValueError, match="resample budget must be >= 0, got -1"):
+        moser_tardos_search(g4, ModelParams(n=1, p_override=0.5), k=3, l=4, max_resamples=-1)
+
+
+def test_mt_refuses_params_for_another_n(g4):
+    with pytest.raises(ValueError, match="params built for n=2, graph has n=1"):
+        moser_tardos_search(g4, ModelParams(n=2, p_override=0.5), k=3, l=4)
+
+
+class _FirstRound(Exception):
+    pass
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2024])
+def test_mt_first_round_sees_exactly_the_sampled_edges(g4, g8, monkeypatch, seed):
+    from highgirth import search
+
+    seen = []
+
+    def first_round(g, k, kept=None):
+        seen.append(kept.copy())
+        raise _FirstRound
+
+    monkeypatch.setattr(search, "cycle_blocks", first_round)
+    for g in (g4, g8):
+        params = ModelParams(n=g.n, p_override=0.3, seed=seed)
+        with pytest.raises(_FirstRound):
+            moser_tardos_search(g, params, k=4, l=g.num_vertices + 1)
+        assert seen[-1].dtype == bool and len(seen[-1]) == g.num_edges
+        assert EdgeSubset.from_kept(g, seen[-1]).mask == sample_subgraph(g, params).mask
+
+
 def test_mt_respects_subset_guard(g8, monkeypatch):
     monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 100)
     out = moser_tardos_search(

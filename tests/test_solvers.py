@@ -22,7 +22,7 @@ from highgirth import (
     independence_number,
     min_edges_over_subsets,
 )
-from highgirth import solvers
+from highgirth import model, solvers
 from highgirth.graphs import iter_bits
 from highgirth.model import ModelParams, sample_subgraph
 from highgirth.search import certify, deletion_method
@@ -515,11 +515,13 @@ def test_min_edges_over_subsets_exhaustive(g4):
         min_edges_over_subsets(g4, 0)
 
 
-def test_min_edges_guard_and_heuristic(g4):
+def test_min_edges_guard_and_heuristic(g4, monkeypatch):
+    monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 5)
     with pytest.raises(SizeGuardError):
-        min_edges_over_subsets(g4, 3, guard=5)
-    res = min_edges_over_subsets(g4, 3, guard=5, heuristic=True, seed=3)
+        min_edges_over_subsets(g4, 3)
+    res = min_edges_over_subsets(g4, 3, heuristic=True, seed=3)
     assert not res.exact
+    monkeypatch.undo()
     exact = min_edges_over_subsets(g4, 3)
     assert res.value >= exact.value
     assert edges_within(g4, res.witness) == res.value
