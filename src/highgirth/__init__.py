@@ -57,13 +57,11 @@ from .lll import (
     FiniteSystemReport,
     GammaInterval,
     InfeasibleParameters,
-    LLLAssignment,
     LLLParameters,
     bollobas_implies_general,
     check_bollobas_lll,
     check_general_lll,
     choose_parameters,
-    cycle_hypothesis_first_n,
     dependency_count_bounds,
     feasible_gamma_interval,
     measured_exponent_correction,
@@ -100,9 +98,9 @@ __all__ = [
     "enumerate_independent_set_events", "log_probability", "sample_subgraph",
     # lll
     "CheckReport", "DependencyBounds", "FiniteSystemReport", "GammaInterval",
-    "InfeasibleParameters", "LLLAssignment", "LLLParameters",
+    "InfeasibleParameters", "LLLParameters",
     "bollobas_implies_general", "check_bollobas_lll", "check_general_lll",
-    "choose_parameters", "cycle_hypothesis_first_n", "dependency_count_bounds",
+    "choose_parameters", "dependency_count_bounds",
     "feasible_gamma_interval", "measured_exponent_correction",
     "recipe_multipliers",
     "verify_exponent_condition", "verify_sys1_finite",

@@ -23,6 +23,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 
 from . import __version__
@@ -30,7 +31,6 @@ from .dimacs import DimacsError, dump_json, read_dimacs, write_dimacs, write_ver
 from .graphs import EdgeSubset, SizeGuardError, build_base_graph
 from .lll import (
     InfeasibleParameters,
-    LLLAssignment,
     check_bollobas_lll,
     check_general_lll,
     choose_parameters,
@@ -207,19 +207,16 @@ def cmd_lll_check(args) -> int:
         with open(args.assignment) as fh:
             assignment_doc = json.load(fh)
         try:
-            assignment = LLLAssignment(
-                style=assignment_doc["style"],
-                multipliers=tuple(assignment_doc["multipliers"]),
-            )
-            if any(type(m) not in (int, float) for m in assignment.multipliers):
+            style = assignment_doc["style"]
+            multipliers = tuple(assignment_doc["multipliers"])
+            if style not in ("general", "bollobas"):  # a tuple test, so a list style lands here
+                raise ValueError(f"unknown assignment style {style!r}")
+            if any(type(m) not in (int, float) for m in multipliers):
                 raise ValueError("multipliers must be numbers")
         except (KeyError, TypeError, ValueError) as exc:
             raise _UsageError(f"{args.assignment}: {exc}") from None
-        probs = system.probabilities
-        if assignment.style == "general":
-            report = check_general_lll(probs, system.neighbors, assignment.multipliers)
-        else:
-            report = check_bollobas_lll(probs, system.neighbors, assignment.multipliers)
+        check = check_general_lll if style == "general" else check_bollobas_lll
+        report = check(system.probabilities, system.neighbors, multipliers)
         out_doc = report.to_json()
         out_doc["infeasible"] = not system.feasible
         holds = report.holds and system.feasible
@@ -304,17 +301,21 @@ def cmd_search(args) -> int:
     if args.restarts < 1:
         raise _UsageError(f"--restarts must be at least 1, got {args.restarts}")
     _model_params(args)  # usage and range errors before any restart runs
+    if args.method == "mt" and args.max_resamples is not None and args.max_resamples < 0:
+        raise _UsageError(f"resample budget must be >= 0, got {args.max_resamples}")
     base_seed = _resolve_seed(args)
-    seeds = [base_seed] + [derive_seed(base_seed, r) for r in range(1, args.restarts)]
+    # derived as the restarts reach them: restart 0 often certifies alone
+    seeds = (derive_seed(base_seed, r) if r else base_seed for r in range(args.restarts))
     search = partial(_search_once, args)
-    workers = _worker_count(args.jobs, len(seeds))
+    workers = _worker_count(args.jobs, args.restarts)
     if workers > 1:
-        # a pool runs every restart, but its results still come back in seed
-        # order: the winner is independent of scheduling
+        # the pool runs one window of ``workers`` seeds at a time and returns
+        # each window in seed order: the winner is independent of scheduling
         from concurrent.futures import ProcessPoolExecutor
 
         runner = ProcessPoolExecutor(max_workers=workers)
-        outcomes = runner.map(search, seeds)
+        windows = iter(lambda: list(islice(seeds, workers)), [])
+        outcomes = chain.from_iterable(runner.map(search, w) for w in windows)
     else:
         runner = contextlib.nullcontext()
         outcomes = map(search, seeds)

@@ -361,9 +361,6 @@ class EdgeSubset:
     def edge_indices(self) -> list[int]:
         return self._index_array().tolist()
 
-    def contains(self, edge_index: int) -> bool:
-        return bool((self.mask >> edge_index) & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         el = self.base.edge_list
         return [el[i] for i in self.edge_indices()]

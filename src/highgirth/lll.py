@@ -8,8 +8,9 @@ delta_i >= sum_{j in J(i)} 2 delta_j P(A_j)``; substituting ``gamma_i =
 delta_i P(A_i)`` reduces it to the general style, and
 ``bollobas_implies_general`` checks that reduction numerically.
 
-All comparisons report signed margins (condition LHS minus RHS) and apply
-a configurable absolute tolerance, so boundary cases stay visible.
+All comparisons report signed margins (condition LHS minus RHS) and accept
+a margin down to ``-DEFAULT_TOL``, a fixed absolute tolerance, so boundary
+cases stay visible.
 
 Every neighbour sum or product goes through one kernel, ``_gather``, over
 a per-event column computed once.  ``sum`` and ``math.prod`` fold it left
@@ -38,21 +39,6 @@ class InfeasibleParameters(ValueError):
 
 
 @dataclass(frozen=True)
-class LLLAssignment:
-    """Per-event multipliers with their checker style ('general'/'bollobas')."""
-
-    style: str
-    multipliers: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.style not in ("general", "bollobas"):
-            raise ValueError(f"unknown assignment style {self.style!r}")
-
-    def to_json(self) -> dict:
-        return {"style": self.style, "multipliers": list(self.multipliers)}
-
-
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of one checker run over an event system."""
 
@@ -76,13 +62,13 @@ def check_general_lll(
     probs: Sequence[float],
     neighbors: Sequence[Sequence[int]],
     gammas: Sequence[float],
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Verify the general local-lemma condition for every event.
 
     Margin for event i: ``gamma_i * prod_{j in J(i)} (1 - gamma_j) -
-    P(A_i)``.  When all margins clear ``-tol`` the product ``prod (1 -
-    gamma_i)`` lower-bounds the probability that no event occurs.
+    P(A_i)``.  When all margins clear ``-DEFAULT_TOL`` the product
+    ``prod (1 - gamma_i)`` lower-bounds the probability that no event
+    occurs.
     """
     _check_lengths(probs, neighbors, gammas)
     for i, g in enumerate(gammas):
@@ -95,7 +81,7 @@ def check_general_lll(
     ]
     return CheckReport(
         style="general",
-        holds=all(m >= -tol for m in margins),
+        holds=all(m >= -DEFAULT_TOL for m in margins),
         margins=margins,
         product_bound=math.prod(complements),
         hypothesis_violations=[],
@@ -106,7 +92,6 @@ def check_bollobas_lll(
     probs: Sequence[float],
     neighbors: Sequence[Sequence[int]],
     deltas: Sequence[float],
-    tol: float = DEFAULT_TOL,
 ) -> CheckReport:
     """Verify the log-form condition ``ln delta_i >= sum 2 delta_j P(A_j)``.
 
@@ -123,7 +108,7 @@ def check_bollobas_lll(
     bound = math.prod(1 - d * p for d, p in zip(deltas, probs))
     return CheckReport(
         style="bollobas",
-        holds=not violations and all(m >= -tol for m in margins),
+        holds=not violations and all(m >= -DEFAULT_TOL for m in margins),
         margins=margins,
         product_bound=bound,
         hypothesis_violations=violations,
@@ -134,7 +119,6 @@ def bollobas_implies_general(
     probs: Sequence[float],
     neighbors: Sequence[Sequence[int]],
     deltas: Sequence[float],
-    tol: float = DEFAULT_TOL,
 ) -> bool:
     """Substitute ``gamma_i = delta_i P(A_i)`` and re-check the general form.
 
@@ -145,7 +129,7 @@ def bollobas_implies_general(
     gammas = [d * p for d, p in zip(deltas, probs)]
     if any(not 0 < g < 1 for g in gammas):
         return False
-    return check_general_lll(probs, neighbors, gammas, tol=tol).holds
+    return check_general_lll(probs, neighbors, gammas).holds
 
 
 def _check_lengths(probs, neighbors, multipliers):
@@ -231,23 +215,6 @@ def recipe_multipliers(events, p: float, f: float) -> list[float]:
     return out
 
 
-def cycle_hypothesis_first_n(gamma: float, k: int = 3) -> int:
-    """Smallest n where every cycle event satisfies the 0.69 hypothesis.
-
-    With the recipe multiplier ``e``, an s-cycle event needs
-    ``e * gamma^(4ns) < 0.69``; the s = 3 term binds.  Subset-event
-    hypotheses depend on instance edge counts and are reported per run
-    instead.
-    """
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    threshold = (HYPOTHESIS_CAP / math.e) ** (1 / 3)
-    n = 1
-    while gamma ** (4 * n) >= threshold:
-        n += 1
-    return n
-
-
 @dataclass(frozen=True)
 class FiniteSystemReport:
     """Exact evaluation of the two-line multiplier condition on a system.
@@ -291,7 +258,6 @@ def verify_sys1_finite(
     p: float,
     f: float,
     deltas: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> FiniteSystemReport:
     """Evaluate the multiplier condition exactly on an enumerated system.
 
@@ -319,11 +285,12 @@ def verify_sys1_finite(
     violations = _hypothesis_violations(deltas, probs)
     infeasible = not system.feasible
     holds = (
-        not infeasible and not violations and all(m >= -tol for m in margins)
+        not infeasible and not violations
+        and all(m >= -DEFAULT_TOL for m in margins)
     )
     log_form = None
     if not infeasible and system.events:
-        log_form = check_bollobas_lll(probs, system.neighbors, deltas, tol=tol)
+        log_form = check_bollobas_lll(probs, system.neighbors, deltas)
     return FiniteSystemReport(
         margins=margins,
         holds=holds,
@@ -432,13 +399,6 @@ class LLLParameters:
             raise ValueError(
                 f"gamma = {self.gamma} not below the upper endpoint {window.upper}"
             )
-
-    def is_valid(self) -> bool:
-        try:
-            self.validate()
-        except ValueError:
-            return False
-        return True
 
     def to_json(self) -> dict:
         window = self.interval()

@@ -255,8 +255,14 @@ class CycleBlock:
         return len(self.members)
 
 
+def _cycle_lengths(g: Graph, k: int) -> range:
+    """The cycle lengths 3..k that ``g`` can hold: a simple cycle repeats no
+    vertex, so none is longer than its vertex count."""
+    return range(3, min(k, g.num_vertices) + 1)
+
+
 def cycle_blocks(g: Graph, k: int, kept: np.ndarray | None = None) -> list[CycleBlock]:
-    """One block per cycle length 3..k, rows in canonical lexicographic order.
+    """One block per cycle length 3..min(k, N), rows in canonical lexicographic order.
 
     With a boolean ``kept``, only the flagged edges of ``g`` count: the rows
     are the cycles of ``g`` that survive, edge ids unchanged.  The rows come
@@ -270,7 +276,7 @@ def cycle_blocks(g: Graph, k: int, kept: np.ndarray | None = None) -> list[Cycle
     guard = EVENT_ENUMERATION_GUARD
     total = 0
     blocks = []
-    for s in range(3, k + 1):
+    for s in _cycle_lengths(g, k):
         found = [np.empty((0, s), np.int32)]
         for rows in kernel.cycle_rows(s, k):
             total += len(rows)
@@ -300,7 +306,7 @@ def count_cycle_blocks(g: BaseGraph, k: int) -> int:
     kernel = _PathKernel(g)
     guard = EVENT_ENUMERATION_GUARD
     total = 0
-    for s in range(3, k + 1):
+    for s in _cycle_lengths(g, k):
         total += g.num_vertices * kernel.count_closing(kernel.root_paths(s, 0)) // s
         if total > guard:
             raise _too_many_cycles(k, guard)
@@ -481,7 +487,7 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
 
 
 def enumerate_cycle_events(g: BaseGraph, k: int, p: float) -> list[EventSpec]:
-    """One event per distinct cycle of length 3..k, in canonical order."""
+    """One event per distinct cycle of length 3..min(k, N), in canonical order."""
     events = []
     for block in cycle_blocks(g, k):
         probability = p**block.s

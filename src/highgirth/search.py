@@ -43,6 +43,7 @@ from .graphs import BaseGraph, EdgeSubset, Graph
 from .model import (
     ModelParams,
     _PathKernel,
+    _cycle_lengths,
     _draw,
     count_cycle_blocks,
     cycle_blocks,
@@ -436,7 +437,7 @@ def deletion_method(
     kept = np.zeros(g.num_edges, dtype=bool)
     kept[sample_subgraph(g, params).edge_indices()] = True
     alive = bytearray(kept)  # per-edge lookups read a bytearray fastest
-    for s in range(3, k + 1):
+    for s in _cycle_lengths(g, k):
         # the s-cycles of the graph kept so far, in canonical order; a row
         # stays a cycle while all its edges are kept, and deletions create
         # no cycle, so the first such row is the first s-cycle left

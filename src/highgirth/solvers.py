@@ -16,14 +16,12 @@ from itertools import combinations
 from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
 from . import model
 from .graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
 
 
 class ForestError(ValueError):
-    """A forbidden-subgraph family member contains no cycle."""
+    """A forbidden-subgraph family member has no cycle."""
 
 
 @dataclass(frozen=True)
@@ -504,19 +502,12 @@ def edges_within(view, subset) -> int:
     return sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
 
 
-def min_edges_over_subsets(
-    view,
-    l: int,
-    heuristic: bool = False,
-    seed: int = 0,
-    restarts: int = 20,
-) -> SolveResult:
+def min_edges_over_subsets(view, l: int) -> SolveResult:
     """Minimum induced edge count over all l-element vertex subsets.
 
-    Exhaustive up to ``model.EVENT_ENUMERATION_GUARD`` subsets, read at
-    call time (exact, with early exit at zero); above the guard a seeded
-    swap-based local search runs instead when ``heuristic`` is set,
-    returning an upper bound on the minimum with ``exact=False``.
+    Exhaustive and exact, with early exit at zero.  More than
+    ``model.EVENT_ENUMERATION_GUARD`` subsets, read at call time, raise
+    ``SizeGuardError``.
     """
     g = as_graph(view)
     n = g.num_vertices
@@ -524,63 +515,23 @@ def min_edges_over_subsets(
         raise ValueError(f"subset size {l} outside [1, {n}]")
     total = comb(n, l)
     guard = model.EVENT_ENUMERATION_GUARD
-    if total <= guard:
-        best = None
-        best_subset = None
-        for subset in combinations(range(n), l):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            count = sum((g.adj[v] & mask).bit_count() for v in subset) // 2
-            if best is None or count < best:
-                best = count
-                best_subset = list(subset)
-                if best == 0:
-                    break
-        return SolveResult(value=best, exact=True, witness=best_subset)
-    if not heuristic:
+    if total > guard:
         raise SizeGuardError(
-            f"C({n}, {l}) = {total} subsets exceed the exhaustive guard {guard}; "
-            f"pass heuristic=True for local search"
+            f"C({n}, {l}) = {total} subsets exceed the exhaustive guard {guard}"
         )
-    return _min_edges_local_search(g, l, seed, restarts)
-
-
-def _min_edges_local_search(g: Graph, l: int, seed: int, restarts: int) -> SolveResult:
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    n = g.num_vertices
     best = None
     best_subset = None
-    for _ in range(restarts):
-        chosen = [int(v) for v in rng.choice(n, size=l, replace=False)]
+    for subset in combinations(range(n), l):
         mask = 0
-        for v in chosen:
+        for v in subset:
             mask |= 1 << v
-        count = sum((g.adj[v] & mask).bit_count() for v in chosen) // 2
-        improved = True
-        while improved:
-            improved = False
-            for v in sorted(chosen):
-                inside = (g.adj[v] & mask).bit_count()
-                for u in range(n):
-                    if (mask >> u) & 1:
-                        continue
-                    gain = (g.adj[u] & mask).bit_count() - ((g.adj[u] >> v) & 1)
-                    if gain < inside:
-                        mask = (mask & ~(1 << v)) | (1 << u)
-                        chosen.remove(v)
-                        chosen.append(u)
-                        count += gain - inside
-                        improved = True
-                        break
-                if improved:
-                    break
+        count = sum((g.adj[v] & mask).bit_count() for v in subset) // 2
         if best is None or count < best:
             best = count
-            best_subset = sorted(chosen)
+            best_subset = list(subset)
             if best == 0:
                 break
-    return SolveResult(value=best, exact=False, witness=best_subset)
+    return SolveResult(value=best, exact=True, witness=best_subset)
 
 
 @dataclass(frozen=True)
@@ -595,8 +546,8 @@ def family_girth_reduction(forbidden: Sequence) -> FamilyReduction:
     """Reduce forbidding a graph family to a single girth requirement.
 
     Each member must contain a cycle; a graph whose girth exceeds the
-    maximum of the members' shortest-cycle lengths contains none of them.
-    Forests are rejected: no girth condition can exclude them.
+    maximum of the members' shortest-cycle lengths has none of them as a
+    subgraph.  Forests are rejected: no girth condition can exclude them.
     """
     if not forbidden:
         raise ValueError("forbidden family must be nonempty")

@@ -281,6 +281,20 @@ def test_lll_check_rejects_non_numeric_multipliers(tmp_path, capsys, multipliers
     assert f"{bad}: multipliers must be numbers" in err
 
 
+@pytest.mark.parametrize("style", ["gen", 3, ["general"]], ids=["word", "number", "list"])
+def test_lll_check_rejects_unknown_styles(tmp_path, capsys, style):
+    events_path = tmp_path / "events.json"
+    event = {"kind": "cycle", "variable_set": [0, 1, 2], "meta": 3,
+             "probability": 0.001, "members": [0, 1, 2]}
+    events_path.write_text(json.dumps({"events": [event], "p": 0.1}))
+    bad = tmp_path / "assignment.json"
+    bad.write_text(json.dumps({"style": style, "multipliers": [0.5]}))
+    code, out, err = run(capsys, "lll-check", "--events", str(events_path),
+                         "--assignment", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"error: {bad}: unknown assignment style {style!r}\n"
+
+
 def test_lll_check_refuses_oversized_neighbourhoods(tmp_path, capsys, monkeypatch):
     import highgirth.model as model
 
@@ -337,6 +351,23 @@ def test_search_delete_writes_certificate(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ("events", "--n", "1", "--p", "0.5"),
+    ("search", "--n", "1", "--p", "0.5", "--seed", "0", "--method", "delete"),
+    ("search", "--n", "1", "--p", "0.5", "--seed", "0", "--l", "6"),
+], ids=["events", "delete", "mt"])
+def test_cycle_ceiling_above_the_vertex_count_costs_nothing(capsys, argv):
+    # G_4 has 6 vertices, so no cycle is longer than 6: every length past
+    # that is skipped, and the output only echoes the given k
+    code, small, _ = run(capsys, *argv, "--k", "6")
+    start = time.perf_counter()
+    code_huge, huge, _ = run(capsys, *argv, "--k", str(10**6))
+    assert time.perf_counter() - start < 2
+    assert code_huge == code == 0
+    assert json.loads(huge)["k"] == 10**6
+    assert {**json.loads(huge), "k": 6} == json.loads(small)
+
+
 def test_search_mt_failure_exits_2(tmp_path, capsys):
     code, out, _ = run(
         capsys, "search", "--n", "1", "--k", "3", "--l", "2", "--p", "1.0",
@@ -384,6 +415,72 @@ def test_search_refuses_negative_budgets(tmp_path, capsys):
         code, out, err = run(capsys, *base, "--restarts", restarts)
         assert (code, out) == (1, "")
         assert err == f"error: --restarts must be at least 1, got {restarts}\n"
+
+
+def test_search_refuses_a_negative_budget_before_any_pool(monkeypatch, capsys):
+    import concurrent.futures
+
+    class NoPool:
+        def __init__(self, max_workers):
+            raise AssertionError("a pool was built")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    code, out, err = run(
+        capsys, "search", "--n", "1", "--k", "3", "--l", "4", "--p", "0.5",
+        "--seed", "0", "--max-resamples", "-1", "--restarts", "2", "--jobs", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: resample budget must be >= 0, got -1\n"
+
+
+# restart 0 certifies at once on G_8
+QUICK_SEARCH = ("search", "--n", "2", "--k", "4", "--l", "50", "--p", "0.06", "--seed", "1")
+
+
+def test_search_derives_restart_seeds_only_when_needed(monkeypatch, capsys):
+    from highgirth import cli
+
+    calls = []
+    real = cli.derive_seed
+
+    def spy(seed, replica):
+        calls.append(replica)
+        return real(seed, replica)
+
+    monkeypatch.setattr(cli, "derive_seed", spy)
+    code, once, _ = run(capsys, *QUICK_SEARCH)
+    assert code == 0
+    code, out, _ = run(capsys, *QUICK_SEARCH, "--restarts", "1000")
+    assert (code, out) == (0, once)
+    assert calls == []
+
+
+def test_search_pool_stops_after_the_first_certified_window(monkeypatch, capsys):
+    import concurrent.futures
+    import os
+
+    ran = []
+
+    class RecordingPool:  # runs each window eagerly in this process, as a pool would
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            ran.extend(jobs)
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    code, once, _ = run(capsys, *QUICK_SEARCH)
+    code, out, _ = run(capsys, *QUICK_SEARCH, "--restarts", "1000", "--jobs", "2")
+    assert (code, out) == (0, once)
+    assert len(ran) <= 2
 
 
 def test_search_jobs_clamped_to_restarts_and_cpus(monkeypatch, capsys):

@@ -11,7 +11,6 @@ from highgirth import (
     check_bollobas_lll,
     check_general_lll,
     choose_parameters,
-    cycle_hypothesis_first_n,
     dependency_count_bounds,
     enumerate_cycle_events,
     enumerate_independent_set_events,
@@ -227,8 +226,6 @@ def test_recipe_values(g4):
 
 def test_cycle_hypothesis_threshold():
     assert math.e * (CYCLE_HYPOTHESIS_P**3) == pytest.approx(0.69, abs=1e-9)
-    assert cycle_hypothesis_first_n(0.7) == 1  # 0.7^4 = 0.2401 is already below
-    assert cycle_hypothesis_first_n(0.95) == 3  # 0.95^8 = 0.663 still above
 
 
 # --- finite system evaluation -------------------------------------------------
@@ -431,9 +428,11 @@ def test_parameters_validate_rejects_out_of_window():
     from dataclasses import replace
 
     bad = replace(params, gamma=0.99)
-    assert not bad.is_valid()
+    with pytest.raises(ValueError):
+        bad.validate()
     bad_low = replace(params, gamma=min(0.01, params.interval().lower / 2))
-    assert not bad_low.is_valid()
+    with pytest.raises(ValueError):
+        bad_low.validate()
 
 
 # --- the neighbour-sum kernel against the former per-checker loops ----------

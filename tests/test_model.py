@@ -185,7 +185,7 @@ def test_cycle_events_on_g4(g4):
 
 def assert_blocks_match_enumerate_cycles(g, k):
     blocks = cycle_blocks(g, k)
-    assert [b.s for b in blocks] == list(range(3, k + 1))
+    assert [b.s for b in blocks] == list(range(3, min(k, g.num_vertices) + 1))
     for b in blocks:
         cycles = list(enumerate_cycles(g, b.s))
         edge_ids = [

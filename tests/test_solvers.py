@@ -515,16 +515,10 @@ def test_min_edges_over_subsets_exhaustive(g4):
         min_edges_over_subsets(g4, 0)
 
 
-def test_min_edges_guard_and_heuristic(g4, monkeypatch):
+def test_min_edges_guard(g4, monkeypatch):
     monkeypatch.setattr(model, "EVENT_ENUMERATION_GUARD", 5)
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(SizeGuardError, match=r"^C\(6, 3\) = 20 subsets exceed the exhaustive guard 5$"):
         min_edges_over_subsets(g4, 3)
-    res = min_edges_over_subsets(g4, 3, heuristic=True, seed=3)
-    assert not res.exact
-    monkeypatch.undo()
-    exact = min_edges_over_subsets(g4, 3)
-    assert res.value >= exact.value
-    assert edges_within(g4, res.witness) == res.value
 
 
 def test_min_edges_per_l_tracks_alpha(g4):
