@@ -252,22 +252,14 @@ def cmd_scan(args) -> int:
                     continue
                 window = feasible_gamma_interval(k, eps, args.delta, f)
                 rows.append(
-                    {
-                        "k": k, "epsilon": eps, "f": f, "delta": args.delta,
-                        "lower": window.lower, "upper": window.upper,
-                        "nonempty": window.nonempty, "recipe": False,
-                    }
+                    {"k": k, "epsilon": eps, "f": f, "delta": args.delta, **vars(window),
+                     "recipe": False}
                 )
         try:
             params = choose_parameters(k, args.delta)
-            window = params.interval()
             rows.append(
-                {
-                    "k": k, "epsilon": params.epsilon, "f": params.f,
-                    "delta": args.delta, "lower": window.lower,
-                    "upper": window.upper, "nonempty": window.nonempty,
-                    "recipe": True, "gamma": params.gamma,
-                }
+                {"k": k, "epsilon": params.epsilon, "f": params.f, "delta": args.delta,
+                 **vars(params.interval()), "recipe": True, "gamma": params.gamma}
             )
         except InfeasibleParameters:
             pass
@@ -328,7 +320,7 @@ def cmd_search(args) -> int:
 
 
 def _subset_from_args(args, g) -> EdgeSubset:
-    if args.mask_hex:
+    if args.mask_hex is not None:
         return EdgeSubset.from_hex(g, args.mask_hex)
     if not args.graph:
         raise _UsageError("one of --graph or --mask-hex is required")

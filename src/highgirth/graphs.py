@@ -14,6 +14,7 @@ two constructions of the same graph are identical element for element.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 from math import comb, exp, log
@@ -24,6 +25,10 @@ import numpy as np
 #: Refuse full materialization above this many coordinates.
 #: C(16,8) = 12870 vertices is the practical desk ceiling.
 DIMENSION_GUARD = 16
+
+#: An edge mask's text: lowercase hex digits, as ``EdgeSubset.mask_hex``
+#: writes them and as certificates hold them.
+_HEX_MASK = re.compile("[0-9a-f]+")
 
 
 class SizeGuardError(ValueError):
@@ -331,15 +336,19 @@ class EdgeSubset:
 
     @classmethod
     def from_edge_indices(cls, base: BaseGraph, indices) -> "EdgeSubset":
-        mask = 0
+        kept = bytearray(base.num_edges)
         for i in indices:
             if not 0 <= i < base.num_edges:
                 raise ValueError(f"edge index {i} out of range")
-            mask |= 1 << i
-        return cls(base, mask)
+            kept[i] = 1
+        return cls.from_kept(base, np.frombuffer(kept, dtype=bool))
 
     @classmethod
     def from_hex(cls, base: BaseGraph, hex_mask: str) -> "EdgeSubset":
+        """The subset of a mask written as ``mask_hex`` writes it; other text
+        raises ``ValueError``."""
+        if _HEX_MASK.fullmatch(hex_mask) is None:
+            raise ValueError(f"edge mask must be lowercase hex digits, got {hex_mask!r}")
         return cls(base, int(hex_mask, 16))
 
     @classmethod

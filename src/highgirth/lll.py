@@ -49,13 +49,7 @@ class CheckReport:
     hypothesis_violations: list[int]  # events breaking 0 < delta*P < 0.69
 
     def to_json(self) -> dict:
-        return {
-            "style": self.style,
-            "holds": self.holds,
-            "margins": self.margins,
-            "product_bound": self.product_bound,
-            "hypothesis_violations": self.hypothesis_violations,
-        }
+        return vars(self).copy()
 
 
 def check_general_lll(
@@ -103,6 +97,8 @@ def check_bollobas_lll(
     for i, d in enumerate(deltas):
         if d <= 0:
             raise ValueError(f"delta[{i}] = {d} must be positive")
+        if not math.isfinite(d):
+            raise ValueError(f"delta[{i}] = {d} must be finite")
     violations = _hypothesis_violations(deltas, probs)
     margins = _log_margins(deltas, probs, neighbors)
     bound = math.prod(1 - d * p for d, p in zip(deltas, probs))
@@ -204,6 +200,8 @@ def recipe_multipliers(events, p: float, f: float) -> list[float]:
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
     if f <= 0:
         raise ValueError(f"f must be positive, got {f}")
+    if not math.isfinite(f):
+        raise ValueError(f"f must be finite, got {f}")
     out = []
     for ev in events:
         if ev.kind == KIND_CYCLE:
@@ -243,14 +241,10 @@ class FiniteSystemReport:
         return None
 
     def to_json(self) -> dict:
-        return {
-            "margins": self.margins,
-            "holds": self.holds,
-            "infeasible": self.infeasible,
-            "hypothesis_violations": self.hypothesis_violations,
-            "log_form": None if self.log_form is None else self.log_form.to_json(),
-            "product_bound": self.product_bound,
-        }
+        doc = vars(self).copy()
+        doc["log_form"] = None if self.log_form is None else self.log_form.to_json()
+        doc["product_bound"] = self.product_bound
+        return doc
 
 
 def verify_sys1_finite(
@@ -315,6 +309,13 @@ def measured_exponent_correction(actual_count: int, n: int, s: int) -> float:
     return math.log2(actual_count) / (4 * n * (s - 2)) - 1
 
 
+def _check_delta(delta: float) -> None:
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+
+
 @dataclass(frozen=True)
 class GammaInterval:
     """The open window for the edge-probability base gamma."""
@@ -337,8 +338,7 @@ def feasible_gamma_interval(
         raise ValueError(f"cycle ceiling k must be >= 3, got {k}")
     if not 0 < epsilon < 4:
         raise ValueError(f"epsilon must lie in (0, 4), got {epsilon}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     if not 0 < f < k - 1:
         raise ValueError(f"f must lie in (0, {k - 1}), got {f}")
     lower = (2 - delta) / (4 - epsilon)
@@ -402,17 +402,7 @@ class LLLParameters:
 
     def to_json(self) -> dict:
         window = self.interval()
-        return {
-            "k": self.k,
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "f": self.f,
-            "gamma": self.gamma,
-            "l": self.l,
-            "p": self.p,
-            "gamma_window": [window.lower, window.upper],
-        }
+        return {**vars(self), "p": self.p, "gamma_window": [window.lower, window.upper]}
 
 
 def choose_parameters(k: int, delta: float, n: int = 1) -> LLLParameters:
@@ -426,8 +416,7 @@ def choose_parameters(k: int, delta: float, n: int = 1) -> LLLParameters:
     """
     if k < 3:
         raise ValueError(f"cycle ceiling k must be >= 3, got {k}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _check_delta(delta)
     if n < 1:
         raise ValueError(f"quarter-dimension must be >= 1, got {n}")
     eps_max = 4 - 2 ** ((2 * k - 3) / (k - 1))

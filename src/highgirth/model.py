@@ -178,13 +178,7 @@ class EventSpec:
 
     def to_json(self) -> dict:
         """The event's document; ``dimacs.dump_json`` writes its tuples as arrays."""
-        return {
-            "kind": self.kind,
-            "variable_set": self.variable_set,
-            "meta": self.meta,
-            "probability": self.probability,
-            "members": self.members,
-        }
+        return vars(self).copy()
 
 
 def _edge_id_matrix(g: Graph, kept: np.ndarray | None = None) -> np.ndarray:
@@ -257,7 +251,10 @@ class CycleBlock:
 
 def _cycle_lengths(g: Graph, k: int) -> range:
     """The cycle lengths 3..k that ``g`` can hold: a simple cycle repeats no
-    vertex, so none is longer than its vertex count."""
+    vertex, so none is longer than its vertex count.  A negative ceiling k
+    raises ``ValueError``."""
+    if k < 0:
+        raise ValueError(f"forbidden-cycle ceiling must be >= 0, got {k}")
     return range(3, min(k, g.num_vertices) + 1)
 
 
@@ -584,8 +581,9 @@ def build_event_system(g: BaseGraph, k: int, l: int | None, p: float) -> EventSy
     With ``l`` None there are no subset events.  The events come from
     ``enumerate_independent_set_events`` and ``enumerate_cycle_events``, and
     ``EventSystem.from_events`` sets the unavoidable subsets apart.  An l
-    outside [1, N] raises ``ValueError``; more than
+    outside [1, N] or a negative k raises ``ValueError``; more than
     ``EVENT_ENUMERATION_GUARD`` subsets, or cycles, raise ``SizeGuardError``.
     """
+    _cycle_lengths(g, k)  # a negative k is refused before any enumeration
     subsets = [] if l is None else enumerate_independent_set_events(g, l, p)
     return EventSystem.from_events(subsets + enumerate_cycle_events(g, k, p))

@@ -33,13 +33,12 @@ edge of the resampled event, in ascending edge-index order.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__, model
-from .graphs import BaseGraph, EdgeSubset, Graph
+from .graphs import _HEX_MASK, BaseGraph, EdgeSubset, Graph
 from .model import (
     ModelParams,
     _PathKernel,
@@ -73,8 +72,13 @@ class GirthCertificate:
     """An independently re-verifiable record of a certified subgraph.
 
     The chromatic lower bound is ``ceil(N / l)`` where N counts the base
-    vertices; ``empirical_rate`` is its (1/4n)-th root.  ``seed`` and the
-    sampling probability fields reproduce the subgraph byte for byte.
+    vertices; ``empirical_rate`` is its (1/4n)-th root.  ``seed`` and ``p``
+    reproduce the initial sample only.  The deletion method's mask follows
+    from that sample and k.  A Moser-Tardos mask also depends on l and the
+    ``subset_events`` choice, and whether one is found on the resample
+    budget; the certificate records neither.  ``recheck_certificate``
+    re-verifies the girth, alpha and chi bound of ``edge_mask_hex``, not
+    the search.
     """
 
     n: int
@@ -97,25 +101,13 @@ class GirthCertificate:
         return EdgeSubset.from_hex(base, self.edge_mask_hex)
 
     def to_json(self) -> dict:
-        gamma_or_p: dict = {}
-        if self.gamma is not None:
-            gamma_or_p["gamma"] = self.gamma
-        if self.p is not None:
-            gamma_or_p["p"] = self.p
-        return {
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "alpha": self.alpha,
-            "alpha_exact": self.alpha_exact,
-            "chi_lower": self.chi_lower,
-            "empirical_rate": self.empirical_rate,
-            "girth": "infinite" if self.girth == math.inf else self.girth,
-            "seed": self.seed,
-            "gamma_or_p": gamma_or_p,
-            "edge_mask_hex": self.edge_mask_hex,
-            "solver_versions": self.solver_versions,
+        doc = vars(self).copy()
+        doc["gamma_or_p"] = {
+            key: value for key in ("gamma", "p") if (value := doc.pop(key)) is not None
         }
+        if self.girth == math.inf:
+            doc["girth"] = "infinite"
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "GirthCertificate":
@@ -144,7 +136,7 @@ class GirthCertificate:
         _require(p is None or (_is_number(p) and 0 <= p <= 1), "p", "a number in [0, 1]", p)
         mask = doc["edge_mask_hex"]
         _require(type(mask) is str, "edge_mask_hex", "a string", mask)
-        _require(re.fullmatch("[0-9a-f]+", mask) is not None, "edge_mask_hex",
+        _require(_HEX_MASK.fullmatch(mask) is not None, "edge_mask_hex",
                  "lowercase hex digits", mask)
         solver_versions = doc.get("solver_versions", {})
         _require(isinstance(solver_versions, dict), "solver_versions", "an object",
@@ -190,16 +182,7 @@ class SearchFailure:
     witness: list | None = None
 
     def to_json(self) -> dict:
-        return {
-            "reason": self.reason,
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "seed": self.seed,
-            "resamples": self.resamples,
-            "violated_history": list(self.violated_history),
-            "witness": self.witness,
-        }
+        return vars(self).copy()
 
 
 def certify(
@@ -219,8 +202,7 @@ def certify(
     emitting an unverified bound.  The subset is converted to a ``Graph``
     once and both solvers run on that graph.
     """
-    if k < 0:
-        raise ValueError(f"forbidden-cycle ceiling must be >= 0, got {k}")
+    _cycle_lengths(sub.base, k)  # refuses a negative k
     if l < 1:
         raise ValueError(f"independence bound must be >= 1, got {l}")
     g = sub.to_graph()
@@ -332,7 +314,8 @@ def moser_tardos_search(
     resamples per event.  Budget exhaustion and certification rejections
     come back as ``SearchFailure`` values, never exceptions; more than
     ``EVENT_ENUMERATION_GUARD`` base cycles raise ``SizeGuardError``, and a
-    negative budget or ``params`` built for another n raise ``ValueError``.
+    negative k, a negative budget or ``params`` built for another n raise
+    ``ValueError``.
 
     The subgraph is a boolean kept-edge array.  The avoidable subset
     events' edge ids lie end to end in one array, with each event's start
@@ -344,6 +327,7 @@ def moser_tardos_search(
     the first occurring subset event or else the first row of the shortest
     non-empty length.
     """
+    _cycle_lengths(g, k)  # refuses a negative k before any draw
     if max_resamples is not None and max_resamples < 0:
         raise ValueError(f"resample budget must be >= 0, got {max_resamples}")
     draw, kept = _draw(g, params)
@@ -432,12 +416,14 @@ def deletion_method(
     solve both picks l and certifies it, together with a girth check of the
     same graph.  Terminates unconditionally: every deletion kills at least
     one short cycle.  An exhausted alpha budget or a refused certification
-    comes back as a ``SearchFailure`` with l = 0.
+    comes back as a ``SearchFailure`` with l = 0; a negative k raises
+    ``ValueError`` before anything is drawn.
     """
+    lengths = _cycle_lengths(g, k)  # refuses a negative k before the draw
     kept = np.zeros(g.num_edges, dtype=bool)
     kept[sample_subgraph(g, params).edge_indices()] = True
     alive = bytearray(kept)  # per-edge lookups read a bytearray fastest
-    for s in _cycle_lengths(g, k):
+    for s in lengths:
         # the s-cycles of the graph kept so far, in canonical order; a row
         # stays a cycle while all its edges are kept, and deletions create
         # no cycle, so the first such row is the first s-cycle left

@@ -52,12 +52,9 @@ class SolveResult:
     upper: int | None = None
 
     def to_json(self) -> dict:
-        value = "infinite" if self.value == math.inf else self.value
-        doc: dict = {"value": value, "exact": self.exact}
-        if self.witness is not None:
-            doc["witness"] = self.witness
-        if self.upper is not None:
-            doc["upper"] = self.upper
+        doc = {key: value for key, value in vars(self).items() if value is not None}
+        if self.value == math.inf:
+            doc["value"] = "infinite"
         return doc
 
 

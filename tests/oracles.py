@@ -894,3 +894,13 @@ def moser_tardos_search(
             witness=exc.witness,
         )
     return cert
+
+
+def mask_of_edge_indices(base: BaseGraph, indices) -> int:
+    """The former ``EdgeSubset.from_edge_indices``: one ``1 << i`` per edge."""
+    mask = 0
+    for i in indices:
+        if not 0 <= i < base.num_edges:
+            raise ValueError(f"edge index {i} out of range")
+        mask |= 1 << i
+    return mask

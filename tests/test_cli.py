@@ -816,3 +816,93 @@ def test_package_documents_never_reach_the_json_fallback(tmp_path, capsys, monke
 
     for name, text in got.items():
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+@pytest.mark.parametrize("argv", [
+    ("events", "--n", "1", "--k", "-5", "--p", "0.5"),
+    ("events", "--n", "1", "--l", "3", "--k", "-5", "--p", "0.5"),
+    ("search", "--n", "1", "--k", "-1", "--p", "0.5", "--method", "delete", "--seed", "0"),
+    ("search", "--n", "1", "--k", "-1", "--l", "3", "--p", "0.5", "--seed", "0"),
+], ids=["events", "events-mixed", "delete", "mt"])
+def test_negative_cycle_ceilings_are_refused(capsys, argv):
+    # certify and certificate loading refuse a negative k, so no command writes one
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: forbidden-cycle ceiling must be >= 0, got {argv[argv.index('--k') + 1]}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("params", "--k", "3", "--delta", "inf"), "delta must be finite, got inf"),
+    (("params", "--k", "3", "--delta", "nan"), "delta must be finite, got nan"),
+    (("scan", "--k-min", "3", "--k-max", "3", "--delta", "inf"), "delta must be finite, got inf"),
+    (("scan", "--k-min", "3", "--k-max", "3", "--delta", "nan"), "delta must be finite, got nan"),
+])
+def test_non_finite_deltas_are_refused(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("f", ["nan", "inf"])
+def test_lll_check_refuses_a_non_finite_recipe_offset(tmp_path, capsys, f):
+    events_path = tmp_path / "mixed.json"
+    run(capsys, "events", "--n", "1", "--l", "3", "--k", "3", "--p", "0.05",
+        "--out", str(events_path))
+    code, out, err = run(capsys, "lll-check", "--events", str(events_path),
+                         "--recipe-multipliers", "--f", f)
+    assert (code, out) == (1, "")
+    assert err == f"error: f must be finite, got {f}\n"
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_lll_check_refuses_non_finite_bollobas_multipliers(tmp_path, capsys, value):
+    events_path = tmp_path / "cycles.json"
+    run(capsys, "events", "--n", "1", "--k", "3", "--p", "0.05", "--out", str(events_path))
+    assignment = tmp_path / "assign.json"  # json reads NaN and Infinity as floats
+    assignment.write_text(f'{{"style": "bollobas", "multipliers": [1.5, {value}{", 1.5" * 6}]}}')
+    code, out, err = run(capsys, "lll-check", "--events", str(events_path),
+                         "--assignment", str(assignment))
+    assert (code, out) == (1, "")
+    assert err == f"error: delta[1] = {float(value)} must be finite\n"
+
+
+@pytest.mark.parametrize("text", ["0xfff", " fff ", "f_f", "", "FFF", "+fff"])
+def test_certify_refuses_mask_text_that_certificates_refuse(capsys, text):
+    code, out, err = run(
+        capsys, "certify", "--n", "1", "--mask-hex", text, "--k", "3", "--l", "6",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: edge mask must be lowercase hex digits, got {text!r}\n"
+
+
+def test_schemas_refuse_unknown_keys(tmp_path, capsys):
+    events_path = tmp_path / "mixed.json"
+    run(capsys, "events", "--n", "1", "--l", "3", "--k", "3", "--p", "0.05",
+        "--out", str(events_path))
+    documents = {
+        "certificate.schema.json": ("search", "--n", "1", "--k", "3", "--p", "0.5",
+                                    "--seed", "2", "--method", "delete"),
+        "failure.schema.json": ("search", "--n", "1", "--k", "3", "--l", "2", "--p", "1.0",
+                                "--seed", "0"),
+        "margin_report.schema.json": ("lll-check", "--events", str(events_path),
+                                      "--recipe-multipliers"),
+        "params.schema.json": ("params", "--k", "3", "--delta", "0.1"),
+    }
+    docs = {}
+    for schema, argv in documents.items():
+        doc = docs[schema] = json.loads(run(capsys, *argv)[1])
+        check_schema(doc, schema)
+        with pytest.raises(jsonschema.ValidationError, match="Additional properties"):
+            check_schema({**doc, "extra": 1}, schema)
+    # nested records too: an event, a certificate's gamma_or_p, a log-form report
+    nested = [
+        (json.loads(events_path.read_text()), "events", 0, "event_system.schema.json"),
+        (docs["certificate.schema.json"], "gamma_or_p", None, "certificate.schema.json"),
+        (docs["margin_report.schema.json"], "log_form", None, "margin_report.schema.json"),
+    ]
+    for doc, key, index, schema in nested:
+        check_schema(doc, schema)
+        inner = doc[key] if index is None else doc[key][index]
+        inner["extra"] = 1
+        with pytest.raises(jsonschema.ValidationError, match="Additional properties"):
+            check_schema(doc, schema)

@@ -20,7 +20,7 @@ from highgirth import (
 )
 from highgirth.graphs import iter_bits
 
-from oracles import base_graph_pairscan, edges_within_exhaustive
+from oracles import base_graph_pairscan, edges_within_exhaustive, mask_of_edge_indices
 
 
 def test_g4_structure(g4):
@@ -216,6 +216,25 @@ def test_from_kept_of_no_edges_and_all_edges(g4, g8):
         assert EdgeSubset.from_kept(g, np.zeros(g.num_edges, dtype=bool)).mask == 0
         full = EdgeSubset.from_kept(g, np.ones(g.num_edges, dtype=bool))
         assert full.mask == EdgeSubset.full(g).mask
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_from_edge_indices_matches_the_former_or_loop(g4, g8, n, data):
+    g = {1: g4, 2: g8}[n]
+    indices = data.draw(st.lists(st.integers(min_value=0, max_value=g.num_edges - 1)))
+    assert EdgeSubset.from_edge_indices(g, indices).mask == mask_of_edge_indices(g, indices)
+    bad = data.draw(st.sampled_from([-1, g.num_edges, 10**30]))
+    with pytest.raises(ValueError, match=f"edge index {bad} out of range"):
+        EdgeSubset.from_edge_indices(g, [*indices, bad])
+
+
+@pytest.mark.parametrize("text", ["0xfff", " fff ", "f_f", "", "FFF", "-1", "+fff", "0f\n"])
+def test_from_hex_takes_only_the_certificate_mask_text(g4, text):
+    with pytest.raises(ValueError, match="edge mask must be lowercase hex digits"):
+        EdgeSubset.from_hex(g4, text)
+    assert EdgeSubset.from_hex(g4, "0fff").mask == EdgeSubset.from_hex(g4, "fff").mask == 4095
 
 
 def test_graph_canonicalises_and_validates_edges():

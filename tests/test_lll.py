@@ -341,6 +341,9 @@ def test_interval_domain_errors():
         feasible_gamma_interval(3, 1.0, 0.0, 0.01)
     with pytest.raises(ValueError):
         feasible_gamma_interval(3, 1.0, 0.1, 2.0)  # f >= k - 1
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"delta must be finite, got {delta}"):
+            feasible_gamma_interval(3, 1.0, delta, 0.5)
 
 
 def test_upper_endpoint_monotonicity():
@@ -421,6 +424,21 @@ def test_choose_parameters_rejects_bad_input():
         choose_parameters(3, 0.0)
     with pytest.raises(ValueError):
         choose_parameters(3, 0.1, n=0)
+    with pytest.raises(ValueError, match="delta must be positive, got -inf"):
+        choose_parameters(3, -math.inf)
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"delta must be finite, got {delta}"):
+            choose_parameters(3, delta)
+
+
+def test_non_finite_multipliers_are_refused(g4):
+    events = enumerate_cycle_events(g4, 3, 0.05)
+    for f in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"f must be finite, got {f}"):
+            recipe_multipliers(events, 0.05, f)
+    for d in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"delta\[1\] = {d} must be finite"):
+            check_bollobas_lll([0.1, 0.1], [[1], [0]], [1.5, d])
 
 
 def test_parameters_validate_rejects_out_of_window():

@@ -73,6 +73,27 @@ def test_certify_argument_validation(g4):
         certify(EdgeSubset.full(g4), k=2, l=0)
 
 
+def test_searches_refuse_a_negative_ceiling_before_drawing(g4, monkeypatch):
+    from highgirth import search
+
+    def no_draw(*args):
+        raise AssertionError("a negative k reached the draw or an enumeration")
+
+    monkeypatch.setattr(search, "_draw", no_draw)
+    monkeypatch.setattr(search, "sample_subgraph", no_draw)
+    monkeypatch.setattr(model, "enumerate_independent_set_events", no_draw)
+    params = ModelParams(n=1, p_override=0.5, seed=0)
+    message = "forbidden-cycle ceiling must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        deletion_method(g4, params, k=-1)
+    with pytest.raises(ValueError, match=message):
+        moser_tardos_search(g4, params, k=-1, l=3)
+    with pytest.raises(ValueError, match=message):
+        model.build_event_system(g4, -1, 3, 0.5)
+    with pytest.raises(ValueError, match=message):
+        certify(EdgeSubset.full(g4), k=-1, l=2)
+
+
 # --- deletion method ----------------------------------------------------------
 
 
