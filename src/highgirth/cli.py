@@ -6,12 +6,13 @@ a verdict fails or a certification is rejected, 1 for usage and I/O
 errors.
 
 Every randomized command takes ``--seed`` (default 0, echoed in the
-output) and is deterministic end to end.  A ``--config`` file may supply
-defaults for optional flags as flat ``key = value`` lines mirroring the
-flags, each checked as its flag would be; explicit flags win.  Required
-flags such as ``--n`` must be given on the command line even when the file
-names them.  The environment variable ``HIGHGIRTH_OUT`` sets the default
-output directory.
+output) and is deterministic end to end.  A ``--config`` file holds flat
+``key = value`` lines mirroring the flags.  Each line is read as the flag
+``--key=value``, placed before the command line's own flags so that those
+win, and argparse checks it as it checks any flag.  Required flags such as
+``--n`` must be given on the command line even when the file names them.
+The environment variable ``HIGHGIRTH_OUT`` sets the default output
+directory.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 from pathlib import Path
 
@@ -295,6 +296,8 @@ def cmd_search(args) -> int:
     _model_params(args)  # usage and range errors before any restart runs
     if args.method == "mt" and args.max_resamples is not None and args.max_resamples < 0:
         raise _UsageError(f"resample budget must be >= 0, got {args.max_resamples}")
+    if args.k < 0:  # the library's refusal, but before any pool starts
+        raise _UsageError(f"forbidden-cycle ceiling must be >= 0, got {args.k}")
     base_seed = _resolve_seed(args)
     # derived as the restarts reach them: restart 0 often certifies alone
     seeds = (derive_seed(base_seed, r) if r else base_seed for r in range(args.restarts))
@@ -484,8 +487,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, registry
 
 
-def _load_config(path: str) -> dict[str, str]:
-    config: dict[str, str] = {}
+_TRUE_WORDS = ("1", "true", "yes", "on")
+_FALSE_WORDS = ("0", "false", "no", "off")
+
+
+def _config_flags(path: str, parser: _Parser) -> list[str]:
+    """The ``key = value`` lines of a config file as flags of ``parser``.
+
+    Each line becomes ``--key=value``, which argparse then checks as it
+    checks the command line.  A key must name a flag exactly (argparse
+    would take an abbreviation such as ``se`` for ``--seed``), and an
+    on/off flag takes an on word for the bare flag or an off word for none.
+    """
+    lines = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -498,59 +512,47 @@ def _load_config(path: str) -> dict[str, str]:
                 if len(parts) != 2:
                     raise _UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, value = parts
-            config[key.strip().replace("-", "_")] = value.strip()
-    return config
-
-
-_TRUE_WORDS = ("1", "true", "yes", "on")
-_FALSE_WORDS = ("0", "false", "no", "off")
-
-
-def _apply_config(parser: _Parser, config: dict[str, str], path: str) -> None:
-    """Install config values as typed defaults; explicit flags still win.
-
-    Each value passes the checks its flag would: a key naming no flag of
-    the subcommand, a value its type or ``choices`` refuse, or an on/off
-    value outside the known words is a usage error naming file and key.
-    """
+            lines.append((key.strip().replace("-", "_"), value.strip()))
     flags = {
         action.dest: action for action in parser._actions
         if action.option_strings and not isinstance(action, argparse._HelpAction)
     }
-    for key, raw in config.items():
+    tokens = []
+    for key, value in lines:
         action = flags.get(key)
         if action is None:
             raise _UsageError(f"{path}: key {key!r} matches no flag of {parser.prog}")
-        if isinstance(action, argparse._StoreTrueAction):
-            if raw.lower() not in _TRUE_WORDS + _FALSE_WORDS:
-                raise _UsageError(
-                    f"{path}: key {key!r}: expected one of "
-                    f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {raw!r}"
-                )
-            value = raw.lower() in _TRUE_WORDS
-        else:
-            try:
-                value = raw if action.type is None else action.type(raw)
-            except ValueError:
-                raise _UsageError(
-                    f"{path}: key {key!r}: invalid {action.type.__name__} value {raw!r}"
-                ) from None
-            if action.choices is not None and value not in action.choices:
-                raise _UsageError(
-                    f"{path}: key {key!r}: invalid choice {raw!r} "
-                    f"(choose from {', '.join(map(str, action.choices))})"
-                )
-        parser.set_defaults(**{key: value})
+        flag = action.option_strings[0]
+        if not isinstance(action, argparse._StoreTrueAction):
+            tokens.append(f"{flag}={value}")
+        elif value.lower() in _TRUE_WORDS:
+            tokens.append(flag)
+        elif value.lower() not in _FALSE_WORDS:
+            raise _UsageError(
+                f"{path}: key {key!r}: expected one of "
+                f"{'/'.join(_TRUE_WORDS + _FALSE_WORDS)}, got {value!r}"
+            )
+    return tokens
+
+
+@cache
+def _parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The process's one parser, built on first use; nothing changes it."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, registry = build_parser()
+    parser, registry = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:  # its values become defaults, so a second parse lets flags win
-            _apply_config(registry[args.command], _load_config(args.config), args.config)
-            args = parser.parse_args(argv)
+        if args.config:  # the file's flags go first, so the command line's win
+            at = argv.index(args.command) + 1
+            flags = _config_flags(args.config, registry[args.command])
+            try:
+                args = parser.parse_args([*argv[:at], *flags, *argv[at:]])
+            except _UsageError as exc:  # the first parse passed: the file is at fault
+                raise _UsageError(f"{args.config}: {exc}") from None
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,7 @@ from .graphs import (
     SizeGuardError,
     _balanced_masks,
     _popcount16,
-    count_formulas,
+    _product_n_pairs,
 )
 
 KIND_INDEPENDENT_SET = "independent_set"
@@ -313,9 +313,8 @@ def count_cycle_blocks(g: BaseGraph, k: int) -> int:
 def _check_full_base_graph(g) -> None:
     """``ValueError`` unless ``g`` is a base graph, up to the order of its vertices.
 
-    Its masks must be every balanced mask of width 4n, once each.  Its
-    edges are distinct, so all of them having scalar product n, and as
-    many as there are such pairs, makes them every such pair.
+    Its masks must be every balanced mask of width 4n, once each, and its
+    edges every pair of them with scalar product n.
     """
     if isinstance(g, BaseGraph):
         dim = g.dimension
@@ -323,16 +322,9 @@ def _check_full_base_graph(g) -> None:
         if (  # the count first: no mask list is built past the graph's own size
             len(masks) == comb(dim, dim // 2)
             and sorted(masks) == _balanced_masks(dim)
-            and g.num_edges == count_formulas(g.n).num_edges
+            and np.array_equal(g.edge_array, _product_n_pairs(masks, dim, g.n))
         ):
-            ends = np.array(masks, dtype=np.uint64)[g.edge_array]
-            both = ends[:, 0] & ends[:, 1]
-            products = sum(
-                _popcount16()[(both >> np.uint64(shift) & np.uint64(0xFFFF)).astype(np.uint16)]
-                for shift in range(0, dim, 16)
-            )
-            if np.all(products == g.n):
-                return
+            return
     raise ValueError("the cycle count from one vertex needs the full base graph")
 
 

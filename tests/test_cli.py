@@ -6,7 +6,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from highgirth.cli import _apply_config, build_parser, main
+from highgirth import cli
+from highgirth.cli import _config_flags, build_parser, main
 
 
 def run(capsys, *argv):
@@ -417,7 +418,8 @@ def test_search_refuses_negative_budgets(tmp_path, capsys):
         assert err == f"error: --restarts must be at least 1, got {restarts}\n"
 
 
-def test_search_refuses_a_negative_budget_before_any_pool(monkeypatch, capsys):
+@pytest.fixture()
+def no_pool(monkeypatch):
     import concurrent.futures
 
     class NoPool:
@@ -425,12 +427,25 @@ def test_search_refuses_a_negative_budget_before_any_pool(monkeypatch, capsys):
             raise AssertionError("a pool was built")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+
+
+def test_search_refuses_a_negative_budget_before_any_pool(no_pool, capsys):
     code, out, err = run(
         capsys, "search", "--n", "1", "--k", "3", "--l", "4", "--p", "0.5",
         "--seed", "0", "--max-resamples", "-1", "--restarts", "2", "--jobs", "2",
     )
     assert (code, out) == (1, "")
     assert err == "error: resample budget must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("method", ["mt", "delete"])
+def test_search_refuses_a_negative_ceiling_before_any_pool(no_pool, capsys, method):
+    code, out, err = run(
+        capsys, "search", "--n", "1", "--k", "-1", "--l", "3", "--p", "0.5", "--seed", "0",
+        "--method", method, "--restarts", "2", "--jobs", "2",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: forbidden-cycle ceiling must be >= 0, got -1\n"
 
 
 # restart 0 certifies at once on G_8
@@ -705,10 +720,15 @@ def test_config_file_spellings(tmp_path, capsys, spelling):
     (("sample", "--n", "1"), "p = 0.4\nseeed = 9\n",
      "key 'seeed' matches no flag of highgirth sample"),
     (("search", "--n", "1", "--k", "3", "--l", "6", "--p", "0.3"), "method = bogus\n",
-     "key 'method': invalid choice 'bogus' (choose from mt, delete)"),
+     "argument --method: invalid choice: 'bogus' (choose from 'mt', 'delete')"),
     (("lll-check", "--events", "e.json"), "recipe-multipliers = maybe\n",
      "key 'recipe_multipliers': expected one of 1/true/yes/on/0/false/no/off, got 'maybe'"),
-    (("sample", "--n", "1", "--p", "0.3"), "seed = x\n", "key 'seed': invalid int value 'x'"),
+    (("sample", "--n", "1", "--p", "0.3"), "seed = x\n",
+     "argument --seed: invalid int value: 'x'"),
+    (("sample", "--n", "1", "--p", "0.3"), "se = 9\n",
+     "key 'se' matches no flag of highgirth sample"),
+    (("sample", "--n", "1", "--p", "0.3"), "help = x\n",
+     "key 'help' matches no flag of highgirth sample"),
 ])
 def test_config_file_values_are_checked_like_flags(
     tmp_path, capsys, monkeypatch, argv, text, message
@@ -725,11 +745,42 @@ def test_config_file_values_are_checked_like_flags(
 @pytest.mark.parametrize(
     "word, value", [("Yes", True), ("on", True), ("OFF", False), ("0", False)]
 )
-def test_config_file_on_off_words(word, value):
+def test_config_file_on_off_words(tmp_path, word, value):
+    config = tmp_path / "run.conf"
+    config.write_text(f"recipe-multipliers = {word}\n")
     parser, registry = build_parser()
-    _apply_config(registry["lll-check"], {"recipe_multipliers": word}, "run.conf")
-    args = parser.parse_args(["lll-check", "--events", "e.json"])
+    flags = _config_flags(str(config), registry["lll-check"])
+    args = parser.parse_args(["lll-check", *flags, "--events", "e.json"])
     assert args.recipe_multipliers is value
+
+
+def test_config_values_do_not_leak_into_later_calls(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("p = 0.4\nseed = 9\nout-dir = {}\n".format(tmp_path))
+    code, out, _ = run(capsys, "sample", "--n", "1", "--config", str(config))
+    assert code == 0 and json.loads(out)["seed"] == 9
+    code, out, err = run(capsys, "sample", "--n", "1", "--p", "0.3", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
+    assert err == "seed not given; using default seed 0\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path, capsys):
+    builds = []
+
+    def spy():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    cli._parser.cache_clear()
+    config = tmp_path / "run.conf"
+    config.write_text("n = 2\n")
+    for argv in (("params", "--k", "3", "--delta", "0.1"),
+                 ("params", "--k", "3", "--delta", "0.1", "--config", str(config)),
+                 ("params", "--k", "4", "--delta", "0.1")):
+        assert run(capsys, *argv)[0] == 0
+    assert len(builds) == 1
 
 
 def test_gen_refuses_large_dimensions(tmp_path, capsys):
@@ -816,6 +867,13 @@ def test_package_documents_never_reach_the_json_fallback(tmp_path, capsys, monke
 
     for name, text in got.items():
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+
+
+@pytest.mark.parametrize("flags", [("--k", "2"), ("--l", "2", "--k", "0")])
+def test_events_under_short_ceilings_match_the_schema(capsys, flags):
+    code, out, _ = run(capsys, "events", "--n", "1", *flags, "--p", "0.5")
+    assert code == 0
+    check_schema(json.loads(out), "event_system.schema.json")
 
 
 @pytest.mark.parametrize("argv", [
