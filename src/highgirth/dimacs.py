@@ -6,7 +6,9 @@ The DIMACS dialect used here: optional ``c`` comment lines, exactly one
 canonical order, so write -> read -> write is byte-identical.  A problem
 line with more vertices than the largest base graph the size guard allows,
 C(16, 8) = 12,870, is refused with ``SizeGuardError`` before any edge line
-is read.
+is read.  A negative count, or more edges than the vertices can hold, is
+refused at the problem line, and an edge line past the declared count at
+that line, so the edge list never outgrows the graph it declares.
 
 Every JSON document the package writes goes through ``dump_json``: sorted
 keys, 2-space indent, ASCII-only escapes and a final newline, byte for
@@ -93,9 +95,23 @@ def _read_dimacs(fh: IO[str]) -> Graph:
                 raise SizeGuardError(
                     f"line {lineno}: {num_vertices} vertices exceed the guard {_MAX_VERTICES}"
                 )
+            if num_vertices < 0:
+                raise DimacsError(f"negative vertex count in {line!r}", lineno)
+            most = num_vertices * (num_vertices - 1) // 2
+            if not 0 <= declared_edges <= most:
+                raise DimacsError(
+                    f"problem line declares {declared_edges} edges; "
+                    f"{num_vertices} vertices hold 0 to {most}",
+                    lineno,
+                )
         elif fields[0] == "e":
             if num_vertices is None:
                 raise DimacsError("edge line before problem line", lineno)
+            if len(edges) == declared_edges:
+                raise DimacsError(
+                    f"edge line past the {declared_edges} edges the problem line declares",
+                    lineno,
+                )
             if len(fields) != 3:
                 raise DimacsError(f"malformed edge line {line!r}", lineno)
             try:

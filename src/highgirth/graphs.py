@@ -10,13 +10,20 @@ Vertices are stored as integer bitmasks (bit ``i`` holds coordinate ``i+1``)
 and listed in colexicographic order of their supports, which coincides with
 increasing numeric order of the masks.  All orderings are deterministic:
 two constructions of the same graph are identical element for element.
+
+A build makes the vertex list and the canonical edge rows, and nothing
+else: each vertex's neighbours come straight from its mask by flipping n
+of its ones and n of its zeros, with no scan over vertex pairs.  A graph's
+per-vertex adjacency bitmasks are made when first read, so a command that
+only reads edge rows (a deletion search, ``certify``) never makes the base
+graph's.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from itertools import combinations
 from math import comb, exp, log
 from typing import Iterator
 
@@ -170,10 +177,12 @@ class Graph:
 
     Edges are kept canonically as sorted ``(u, v)`` pairs with ``u < v``:
     an ``(E, 2)`` array, and a list of tuples built on first use.
-    Adjacency is a bitmask per vertex for fast set algebra.
+    Adjacency is a bitmask per vertex for fast set algebra, built on its
+    first read and then kept: a command that reads only the edge rows
+    never builds it.
     """
 
-    __slots__ = ("num_vertices", "edge_array", "adj", "_edge_list", "_edge_start")
+    __slots__ = ("num_vertices", "edge_array", "_adj", "_edge_list", "_edge_start")
 
     def __init__(self, num_vertices: int, edges):
         if num_vertices < 0:
@@ -181,9 +190,16 @@ class Graph:
         self.num_vertices = num_vertices
         #: The canonical edge list as an (E, 2) int64 array.
         self.edge_array: np.ndarray = _canonical_edges(num_vertices, edges)
-        self.adj: list[int] = _adjacency_masks(num_vertices, self.edge_array)
+        self._adj: list[int] | None = None
         self._edge_list: list[tuple[int, int]] | None = None
         self._edge_start: list[int] | None = None
+
+    @property
+    def adj(self) -> list[int]:
+        """One neighbour bitmask per vertex: bit ``w`` of ``adj[v]`` marks edge ``{v, w}``."""
+        if self._adj is None:
+            self._adj = _adjacency_masks(self.num_vertices, self.edge_array)
+        return self._adj
 
     @property
     def edge_list(self) -> list[tuple[int, int]]:
@@ -273,41 +289,40 @@ def build_base_graph(n: int) -> BaseGraph:
     return BaseGraph(n, vertices, _product_n_pairs(masks, dim, n))
 
 
-@cache
-def _popcount16() -> np.ndarray:
-    """Set bits of every 16-bit value: a 65,536-entry uint8 table."""
-    values = np.arange(1 << 16, dtype=np.uint16)
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    for b in range(16):
-        table += (values >> b & 1).astype(np.uint8)
-    table.flags.writeable = False
-    return table
-
-
 def _product_n_pairs(masks: list[int], dim: int, n: int) -> np.ndarray:
     """All pairs ``i < j`` with ``|masks[i] & masks[j]| == n``, as (E, 2) rows.
 
-    The ``dim``-bit masks are split into 16-bit limbs, and the AND of each
-    limb pair is counted through a 65,536-entry popcount table, one block
-    of rows at a time; ``np.nonzero`` over each block's upper triangle
-    yields the pairs in lexicographic order.
+    ``masks`` must hold every mask of width ``dim`` with ``dim/2`` set bits,
+    once each, in any order.  The masks meeting m in n ones are then
+    exactly m XOR (n of its ones | n of its zeros), C(dim/2, n)^2 of them,
+    and a 2^dim rank table maps each back to its index.  Each row's
+    neighbours are sorted and those above the row kept, so the pairs come
+    out in lexicographic order.  The int32 temporaries go one block of
+    rows at a time, bounded by ``_BLOCK_CELLS`` cells.
     """
-    table = _popcount16()
-    arr = np.array(masks, dtype=np.uint64)
-    limbs = [
-        (arr >> np.uint64(shift) & np.uint64(0xFFFF)).astype(np.uint16)
-        for shift in range(0, dim, 16)
-    ]
-    size = len(masks)
-    rows = max(1, _BLOCK_CELLS // max(size, 1))
+    arr = np.array(masks, dtype=np.int32)
+    size, half = len(arr), dim // 2
+    rank = np.zeros(1 << dim, dtype=np.int32)
+    rank[arr] = np.arange(size, dtype=np.int32)
+    bits = np.int32(1) << np.arange(dim, dtype=np.int32)
+    is_one = (arr[:, None] & bits) != 0
+    pick = np.array(list(combinations(range(half), n)), dtype=np.intp)
+    # per row, the flips of n of its ones and of n of its zeros: the bits
+    # of each side, ascending, summed over every pick of n of them
+    flip_ones, flip_zeros = (
+        bits[np.nonzero(side)[1].reshape(size, half)][:, pick].sum(axis=2, dtype=np.int32)
+        for side in (is_one, ~is_one)
+    )
+    rows = max(1, _BLOCK_CELLS // len(pick) ** 2)
     found = [np.empty((0, 2), dtype=np.int64)]
     for start in range(0, size, rows):
         stop = min(start + rows, size)
-        count = np.zeros((stop - start, size), dtype=np.uint8)
-        for limb in limbs:
-            count += table[limb[start:stop, None] & limb[None, :]]
-        i, j = np.nonzero(np.triu(count == n, k=start + 1))
-        found.append(np.column_stack((i + start, j)))
+        flips = flip_ones[start:stop, :, None] | flip_zeros[start:stop, None, :]
+        nbrs = rank[arr[start:stop, None] ^ flips.reshape(stop - start, -1)]
+        nbrs.sort(axis=1)
+        row = np.arange(start, stop, dtype=np.int64)
+        above = nbrs > row[:, None]
+        found.append(np.column_stack((np.repeat(row, above.sum(axis=1)), nbrs[above])))
     return np.concatenate(found)
 
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 
@@ -54,7 +54,6 @@ from .graphs import (
     Graph,
     SizeGuardError,
     _balanced_masks,
-    _popcount16,
     _product_n_pairs,
 )
 
@@ -341,15 +340,24 @@ class _PathKernel:
     above the root.  ``grow`` extends paths one vertex at a time, each
     into its candidates in ascending order with its children contiguous,
     so rows stay in lexicographic order whenever the paths they grew from
-    were.
+    were.  The ascending neighbour lists ``indptr``/``nbrs`` are read off
+    the kept edge rows; the dense edge-id matrix ``eid`` serves the
+    lookups that close a cycle and name its edges.
     """
 
     def __init__(self, g: Graph, kept: np.ndarray | None = None):
-        eid = self.eid = _edge_id_matrix(g, kept)
-        self.num_vertices = len(eid)
-        self.adjacent = eid >= 0
-        self.indptr = np.concatenate(([0], np.cumsum(self.adjacent.sum(axis=1))))
-        self.nbrs = np.nonzero(self.adjacent)[1].astype(np.int32)  # row-major: ascending
+        self.eid = _edge_id_matrix(g, kept)
+        nv = self.num_vertices = g.num_vertices
+        # each edge in both directions as the key src << bits | dst, in the
+        # smallest unsigned type that holds it: sorted, the keys list each
+        # vertex's neighbours ascending, one vertex after another
+        bits = max(nv - 1, 0).bit_length()
+        ends = g.edge_array if kept is None else g.edge_array[kept]
+        ends = ends.astype(np.min_scalar_type(nv << bits))
+        key = (ends << bits | ends[:, ::-1]).T.ravel()
+        key.sort()
+        self.indptr = np.searchsorted(key, np.arange(nv + 1, dtype=key.dtype) << bits)
+        self.nbrs = (key & ((1 << bits) - 1)).astype(np.int32)
         max_degree = int(np.diff(self.indptr).max(initial=0))
         self.step = max(1, _STEP_CANDIDATES // max(1, max_degree))  # paths per step
 
@@ -464,7 +472,18 @@ class _PathKernel:
         """Adjacency, "above v" and one-hot rows, packed into uint16 words."""
         nv = self.num_vertices
         above = np.triu(np.ones((nv, nv), dtype=bool), 1)
-        return [_pack_words(bits) for bits in (self.adjacent, above, np.eye(nv, dtype=bool))]
+        return [_pack_words(bits) for bits in (self.eid >= 0, above, np.eye(nv, dtype=bool))]
+
+
+@cache
+def _popcount16() -> np.ndarray:
+    """Set bits of every 16-bit value: a 65,536-entry uint8 table."""
+    values = np.arange(1 << 16, dtype=np.uint16)
+    table = np.zeros(1 << 16, dtype=np.uint8)
+    for b in range(16):
+        table += (values >> b & 1).astype(np.uint8)
+    table.flags.writeable = False
+    return table
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:

@@ -362,20 +362,21 @@ def independence_number(view, budget: SolveBudget | None = None) -> SolveResult:
     ``exact=False``.
     """
     g = as_graph(view)
+    adj = g.adj
     acct = _Budget(budget)
     chosen: list[int] = []
     exact = True
-    for comp in _components(g.adj, g.num_vertices):
+    for comp in _components(adj, g.num_vertices):
         verts = list(iter_bits(comp))
         if len(verts) == 1:
             chosen.extend(verts)
             continue
-        if max((g.adj[v] & comp).bit_count() for v in verts) <= 2:
-            chosen.extend(_path_or_cycle_alpha(g.adj, comp, verts))
+        if max((adj[v] & comp).bit_count() for v in verts) <= 2:
+            chosen.extend(_path_or_cycle_alpha(adj, comp, verts))
             continue
         local = {v: i for i, v in enumerate(verts)}
         found, comp_exact = _sparse_mis(
-            [[local[w] for w in iter_bits(g.adj[v])] for v in verts], acct
+            [[local[w] for w in iter_bits(adj[v])] for v in verts], acct
         )
         chosen.extend(verts[i] for i in found)
         exact = exact and comp_exact
@@ -496,7 +497,8 @@ def edges_within(view, subset) -> int:
         if not 0 <= v < g.num_vertices:
             raise ValueError(f"vertex index {v} out of range")
         mask |= 1 << v
-    return sum((g.adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
+    adj = g.adj
+    return sum((adj[v] & mask).bit_count() for v in iter_bits(mask)) // 2
 
 
 def min_edges_over_subsets(view, l: int) -> SolveResult:
@@ -516,13 +518,14 @@ def min_edges_over_subsets(view, l: int) -> SolveResult:
         raise SizeGuardError(
             f"C({n}, {l}) = {total} subsets exceed the exhaustive guard {guard}"
         )
+    adj = g.adj
     best = None
     best_subset = None
     for subset in combinations(range(n), l):
         mask = 0
         for v in subset:
             mask |= 1 << v
-        count = sum((g.adj[v] & mask).bit_count() for v in subset) // 2
+        count = sum((adj[v] & mask).bit_count() for v in subset) // 2
         if best is None or count < best:
             best = count
             best_subset = list(subset)

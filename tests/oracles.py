@@ -19,7 +19,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from highgirth import model
-from highgirth.graphs import BaseGraph, EdgeSubset, Graph, SizeGuardError, iter_bits
+from highgirth.graphs import (
+    _BLOCK_CELLS,
+    BaseGraph,
+    EdgeSubset,
+    Graph,
+    SizeGuardError,
+    iter_bits,
+)
 from highgirth.lll import (
     DEFAULT_TOL,
     HYPOTHESIS_CAP,
@@ -36,6 +43,7 @@ from highgirth.model import (
     ModelParams,
     _PathKernel,
     _edge_id_matrix,
+    _popcount16,
     _too_many_cycles,
     cycle_blocks,
     sample_subgraph,
@@ -347,6 +355,46 @@ def base_graph_pairscan(n):
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
     return masks, edges, adj
+
+
+# The base-graph edge scan as it was before each vertex's neighbours were
+# generated by bit flips: an N x N popcount of every mask pair.
+
+
+def product_n_pairs_scan(masks: list[int], dim: int, n: int) -> np.ndarray:
+    """All pairs ``i < j`` with ``|masks[i] & masks[j]| == n``, as (E, 2) rows.
+
+    The ``dim``-bit masks are split into 16-bit limbs, and the AND of each
+    limb pair is counted through a 65,536-entry popcount table, one block
+    of rows at a time; ``np.nonzero`` over each block's upper triangle
+    yields the pairs in lexicographic order.
+    """
+    table = _popcount16()
+    arr = np.array(masks, dtype=np.uint64)
+    limbs = [
+        (arr >> np.uint64(shift) & np.uint64(0xFFFF)).astype(np.uint16)
+        for shift in range(0, dim, 16)
+    ]
+    size = len(masks)
+    rows = max(1, _BLOCK_CELLS // max(size, 1))
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        count = np.zeros((stop - start, size), dtype=np.uint8)
+        for limb in limbs:
+            count += table[limb[start:stop, None] & limb[None, :]]
+        i, j = np.nonzero(np.triu(count == n, k=start + 1))
+        found.append(np.column_stack((i + start, j)))
+    return np.concatenate(found)
+
+
+def path_kernel_lists(g: Graph, kept=None) -> tuple[np.ndarray, np.ndarray]:
+    """``_PathKernel``'s ``indptr`` and ``nbrs`` by the former dense scan of
+    the edge-id matrix, before they were read off the kept edge rows."""
+    adjacent = _edge_id_matrix(g, kept) >= 0
+    indptr = np.concatenate(([0], np.cumsum(adjacent.sum(axis=1))))
+    nbrs = np.nonzero(adjacent)[1].astype(np.int32)  # row-major: ascending
+    return indptr, nbrs
 
 
 # The sparse independent-set kernel as it was before degrees were kept

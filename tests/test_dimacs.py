@@ -70,7 +70,48 @@ def test_parse_errors_carry_line_numbers(text, lineno):
 
 def test_declared_count_mismatch():
     with pytest.raises(DimacsError, match="declares 5 edges, found 1"):
-        read_dimacs(io.StringIO("p edge 3 5\ne 1 2\n"))
+        read_dimacs(io.StringIO("p edge 4 5\ne 1 2\n"))
+
+
+@pytest.mark.parametrize(
+    "problem,message",
+    [
+        ("p edge 10 -1", "problem line declares -1 edges; 10 vertices hold 0 to 45"),
+        ("p edge 10 46", "problem line declares 46 edges; 10 vertices hold 0 to 45"),
+        ("p edge 3 5", "problem line declares 5 edges; 3 vertices hold 0 to 3"),
+        ("p edge 0 1", "problem line declares 1 edges; 0 vertices hold 0 to 0"),
+        ("p edge -2 0", "negative vertex count in 'p edge -2 0'"),
+    ],
+)
+def test_problem_line_refuses_counts_its_vertices_cannot_hold(problem, message):
+    # refused at the problem line: the bad edge line after it is never read
+    with pytest.raises(DimacsError, match=f"^line 1: {message}$"):
+        read_dimacs(io.StringIO(f"{problem}\ne 1 x\n"))
+
+
+def test_problem_line_may_declare_the_complete_graph():
+    complete = "".join(f"e {u} {v}\n" for u in range(1, 11) for v in range(u + 1, 11))
+    assert read_dimacs(io.StringIO("p edge 10 45\n" + complete)).num_edges == 45
+
+
+class _Lines(io.TextIOBase):
+    """A text stream over an iterable of lines that counts the lines read."""
+
+    def __init__(self, lines):
+        self.lines = iter(lines)
+        self.served = 0
+
+    def readline(self, size=-1):
+        line = next(self.lines, "")
+        self.served += bool(line)
+        return line
+
+
+def test_edge_lines_past_the_declared_count_are_refused_at_once():
+    stream = _Lines(["c one edge\n", "p edge 10 1\n", "e 1 2\n"] + ["e 2 3\n"] * 100_000)
+    with pytest.raises(DimacsError, match=r"^line 4: edge line past the 1 edges the problem line declares$"):
+        read_dimacs(stream)
+    assert stream.served == 4
 
 
 def test_missing_problem_line():

@@ -18,9 +18,15 @@ from highgirth import (
     scalar_product,
     verify_unit_distance,
 )
+from highgirth import graphs
 from highgirth.graphs import iter_bits
 
-from oracles import base_graph_pairscan, edges_within_exhaustive, mask_of_edge_indices
+from oracles import (
+    base_graph_pairscan,
+    edges_within_exhaustive,
+    mask_of_edge_indices,
+    product_n_pairs_scan,
+)
 
 
 def test_g4_structure(g4):
@@ -183,6 +189,43 @@ def test_array_built_base_graph_matches_pair_scan(n, g4, g8, g12):
     assert g.edge_list == edges
     assert g.edge_array.tolist() == [list(e) for e in edges]
     assert g.adj == adj
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flip_generator_matches_the_former_scan(n, block_cells, monkeypatch):
+    dim = 4 * n
+    masks = graphs._balanced_masks(dim)
+    expected = product_n_pairs_scan(masks, dim, n)
+    assert expected.tolist() == [list(e) for e in base_graph_pairscan(n)[1]]
+    if block_cells is not None:  # G_8 and G_12 then span many row blocks
+        monkeypatch.setattr(graphs, "_BLOCK_CELLS", block_cells)
+    got = graphs._product_n_pairs(masks, dim, n)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_flip_generator_takes_the_masks_in_any_order(n):
+    dim = 4 * n
+    masks = graphs._balanced_masks(dim)
+    np.random.default_rng(n).shuffle(masks)
+    assert np.array_equal(
+        graphs._product_n_pairs(masks, dim, n), product_n_pairs_scan(masks, dim, n)
+    )
+
+
+def test_base_graph_builds_its_adjacency_on_first_read(monkeypatch):
+    calls = []
+    build = graphs._adjacency_masks
+    monkeypatch.setattr(
+        graphs, "_adjacency_masks", lambda *args: calls.append(args) or build(*args)
+    )
+    g = build_base_graph(3)
+    assert calls == []
+    adj = g.adj
+    assert len(calls) == 1 and g.adj is adj
+    assert g.degree(0) == 400 and g.edge_index(*g.edge_array[7].tolist()) == 7
+    assert len(calls) == 1
 
 
 def test_edge_indices_match_iter_bits_on_g12_samples(g12):

@@ -377,6 +377,20 @@ def test_kept_scan_lists_the_surviving_cycles_of_random_graphs(data, k, rnd):
     assert_kept_rows_are_the_surviving_rows(g, kept, k)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(st.data())
+@settings(max_examples=15, deadline=None)
+def test_kernel_lists_match_the_former_dense_scan(g4, g8, g12, n, data):
+    g = {1: g4, 2: g8, 3: g12}[n]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    drawn = rng.random(g.num_edges) < data.draw(st.floats(0, 1))
+    for kept in (None, np.zeros(g.num_edges, bool), np.ones(g.num_edges, bool), drawn):
+        kernel = model._PathKernel(g, kept)
+        indptr, nbrs = oracles.path_kernel_lists(g, kept)
+        assert kernel.indptr.dtype == indptr.dtype and np.array_equal(kernel.indptr, indptr)
+        assert kernel.nbrs.dtype == nbrs.dtype and np.array_equal(kernel.nbrs, nbrs)
+
+
 def test_kept_scan_falls_back_to_one_root_at_a_time(g4, monkeypatch):
     # all roots at once hold 25 open paths towards quadrilaterals, one root
     # at most 12: guard 23 takes the per-root loop and still lists all 23

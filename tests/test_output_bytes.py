@@ -4,7 +4,8 @@ Each digest is the SHA-256 of a command's output, recorded before the code
 that produces it was rewritten (the JSON encoder; the Local Lemma checkers
 and the deletion search's failure path; the Moser-Tardos event scan; the
 cycle listing behind deletion and ``solve --what cycles``; the base cycle
-count behind the default resample budget), so
+count behind the default resample budget; the base-graph edge build and
+the cycle kernel's neighbour lists), so
 any later change to encoding or to the numbers has to show byte identity
 here, not just claim it.
 """
@@ -71,6 +72,17 @@ CYCLE_DIGESTS = {
         "3acdf8a74ab507bd62a0085ff022bf3bda3c01453895209f9e262ce850d1249f",
     "certify (the k = 6 deletion certificate)":
         "ac4ebe8363e6323086f622f1f89968355b244a939e140c4fdeb13fd14ed90cf1",
+}
+
+BUILD_DIGESTS = {
+    "gen --n 2 (DIMACS)":
+        "a385ffbe0a091ba460f1f39e7388127b1ffe05687acdd7542628edebe14ba9fa",
+    "gen --n 3 (DIMACS)":
+        "62f700b7a0a3966b0efd345a8bf90b4c1969caa009096e7264442bb268bac64e",
+    "search --n 3 --k 4 --p 0.006 --seed 1 --method delete --node-limit 1000":
+        "d771294e57f9fe6176199b474ea01feedef6b094baa891669853f7ae562c3792",
+    "certify (the G_12 deletion certificate)":
+        "593277cffe5d975803c137a79b6529d2d7bdc14c483b00c625e765b23b74e00c",
 }
 
 
@@ -179,3 +191,18 @@ def test_cycle_listing_outputs_are_byte_identical(run):
         "certify", "--n", "2", "--mask-hex", doc["edge_mask_hex"], "--k", "6", "--l", str(doc["l"])
     )
     assert {name: digest(text) for name, text in got.items()} == CYCLE_DIGESTS
+
+
+def test_base_graph_outputs_are_byte_identical(run, tmp_path):
+    got = {}
+    for n, name in (("2", "g8"), ("3", "g12")):
+        run("gen", "--n", n)
+        got[f"gen --n {n} (DIMACS)"] = (tmp_path / f"{name}.dimacs").read_text()
+    cert = run("search", "--n", "3", "--k", "4", "--p", "0.006", "--seed", "1",
+               "--method", "delete", "--node-limit", "1000")
+    got["search --n 3 --k 4 --p 0.006 --seed 1 --method delete --node-limit 1000"] = cert
+    doc = json.loads(cert)
+    got["certify (the G_12 deletion certificate)"] = run(
+        "certify", "--n", "3", "--mask-hex", doc["edge_mask_hex"], "--k", "4", "--l", str(doc["l"])
+    )
+    assert {name: digest(text) for name, text in got.items()} == BUILD_DIGESTS
